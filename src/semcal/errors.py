@@ -57,6 +57,14 @@ class EmptyConditionSubset(ValidationError):
     pass
 
 
+class NonFinite(ValidationError):
+    """A value that must be a finite number is NaN or infinite."""
+
+
+class OutOfRange(ValidationError):
+    """A scalar parameter lies outside its domain."""
+
+
 # -- degeneracy ---------------------------------------------------------
 
 class ZeroPrior(DegeneracyError):

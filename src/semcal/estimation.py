@@ -15,15 +15,20 @@ from fractions import Fraction
 import numpy as np
 
 from .confirmation import DocCase, DocResult
-from .distributions import Alphabet, Distribution, bayes_invert
+from .distributions import NORMALIZATION_TOLERANCE, Distribution, bayes_invert
 from .errors import (
+    BeliefOutOfRange,
     DegenerateGeometry,
     DegenerateInput,
     EmptyConditionSubset,
     GridTooCoarse,
+    NegativeMass,
+    NonFinite,
+    NotNormalized,
+    OutOfRange,
     ZeroRow,
 )
-from .estimation_types import Channel, GpsModel, SampleSet
+from .estimation_types import Channel, SampleSet, toroidal_offset
 from .semantic_info import average_semantic_info
 from .truth_functions import Tabular, TruthFunction, belief_adjust
 
@@ -159,44 +164,85 @@ def gps_cep_doc(cep_fraction, in_circle_cells: int, total_cells: int) -> DocResu
                      case=DocCase.EXCESSIVE_AFFIRMATION)
 
 
-def _toroidal_distance_matrix(size: int, delta: float) -> np.ndarray:
-    """dist[true, reported] between the reported cell and true+delta, wrapped."""
-    true_idx = np.arange(size).reshape(-1, 1)
-    rep_idx = np.arange(size).reshape(1, -1)
-    raw = rep_idx - delta - true_idx
-    return (raw + size / 2) % size - size / 2
+def lag_distribution(observed: np.ndarray) -> np.ndarray:
+    """Joint mass of a uniform-prior channel at each toroidal lag.
+
+    ``observed`` is the row-normalized channel P(reported | true) on a grid
+    of m cells; entry k of the result is (1/m) * sum_t observed[t, (t+k) mod m],
+    the joint probability that the reported cell lies k steps past the true
+    one.  One O(m^2) gather; the entries total 1.
+    """
+    observed = np.asarray(observed, dtype=float)
+    if observed.ndim != 2 or observed.shape[0] != observed.shape[1]:
+        raise DegenerateInput(f"observed channel must be square, got {observed.shape}")
+    m = observed.shape[0]
+    if not np.isfinite(observed).all():
+        raise NonFinite("observed channel has a NaN or infinite entry")
+    if (observed < 0).any():
+        raise NegativeMass("observed channel has a negative entry")
+    row_error = float(np.abs(observed.sum(axis=1) - 1.0).max())
+    if row_error > NORMALIZATION_TOLERANCE:
+        raise NotNormalized(f"observed rows must sum to 1, one is off by {row_error:.3g}")
+    idx = np.arange(m)
+    # row k gathers observed[t, (t+k) mod m] over t, contiguous for the sum
+    return observed[idx[None, :], (idx[None, :] + idx[:, None]) % m].sum(axis=1) / m
+
+
+def _check_lags(lags: np.ndarray) -> None:
+    if not np.isfinite(lags).all():
+        raise NonFinite("lag distribution has a NaN or infinite entry")
+    if (lags < 0).any():
+        raise NegativeMass("lag distribution has a negative entry")
+    total = float(lags.sum())
+    if abs(total - 1.0) > NORMALIZATION_TOLERANCE:
+        raise NotNormalized(f"lag distribution sums to {total}, not 1")
 
 
 def gps_objective(observed: np.ndarray, delta: float, d: float, b: float) -> float:
     """Semantic mutual information of the parametric deviation hypothesis.
 
-    ``observed`` is the row-normalized channel P(reported | true) on a
-    toroidal grid; the truth functions are b*exp(-dist^2/2d^2) + 1 - b
-    centered at each reported cell shifted back by ``delta``.  The prior
-    over true positions is uniform.
+    ``observed`` is either the row-normalized channel P(reported | true) on
+    a toroidal grid of m cells or its ``lag_distribution``; a matrix is
+    reduced first.  The truth functions are g = b*exp(-dist^2/2d^2) + 1 - b,
+    centered at each reported cell shifted back by ``delta``, and the prior
+    over true positions is uniform.  Every truth value depends only on the
+    lag k = (reported - true) mod m, so every reported cell has the same
+    logical probability mean(g) and the information is exactly
+    sum_k h[k]*log2 g(k - delta) - log2(mean g)*sum_k h[k]: an O(m)
+    evaluation on the lag distribution h.  Returns ``-inf`` when a lag with
+    mass has truth value 0 (possible only at b = 1).
     """
-    m = observed.shape[0]
-    if observed.shape != (m, m):
-        raise DegenerateInput(f"observed channel must be square, got {observed.shape}")
-    dist = _toroidal_distance_matrix(m, delta)
+    if not (math.isfinite(delta) and math.isfinite(d)):
+        raise NonFinite(f"shift and spread must be finite, got delta={delta}, d={d}")
+    if not d > 0:
+        raise OutOfRange(f"spread must be positive, got d={d}")
+    if not 0.0 <= b <= 1.0:
+        raise BeliefOutOfRange(f"belief must lie in [0, 1], got b={b}")
+    lags = np.asarray(observed, dtype=float)
+    if lags.ndim == 1:
+        _check_lags(lags)
+    else:
+        lags = lag_distribution(lags)
+    m = lags.shape[0]
+    dist = toroidal_offset(np.arange(m) - delta, m)
     truth = b * np.exp(-(dist**2) / (2.0 * d**2)) + (1.0 - b)
-    logical = truth.mean(axis=0)  # per reported cell, uniform prior
+    seen = lags > 0
     with np.errstate(divide="ignore"):
-        log_ratio = np.log2(truth) - np.log2(logical)[None, :]
-    joint = observed / m
-    terms = joint * log_ratio
-    if np.any(np.isneginf(log_ratio) & (joint > 0)):
+        log_truth = np.log2(truth[seen])
+    if np.isneginf(log_truth).any():
         return float("-inf")
-    return float(np.sum(terms[joint > 0]))
+    return float(lags[seen] @ log_truth - math.log2(truth.mean()) * lags.sum())
 
 
 def gps_fit(observed: np.ndarray, d_range: tuple[float, float] | None = None
             ) -> tuple[float, float, float]:
     """Recover (delta_e, d, b) of the deviation model from an observed channel.
 
-    First locates the systematic shift by circular cross-correlation, then
-    alternates golden-section passes on the spread d and the belief b, and
-    finally refines the shift continuously.  Returns (delta_hat, d_hat, b_hat).
+    Reduces the channel to its lag distribution once (O(m^2)); every
+    objective evaluation after that is O(m).  The integer shift is the lag
+    with the most mass; then golden-section passes alternate on the spread
+    d and the belief b, and the shift is refined continuously.  Returns
+    (delta_hat, d_hat, b_hat).
 
     On grids of at least 200 cells whose true spread is at least 4 steps,
     the recovered shift is within one grid step of the true delta_e, the
@@ -212,24 +258,22 @@ def gps_fit(observed: np.ndarray, d_range: tuple[float, float] | None = None
     if d_range[0] < 2.0:
         raise GridTooCoarse("spreads below 2 grid steps are not resolvable")
 
-    # integer shift: align each row's mass with its diagonal
-    idx = np.arange(m)
-    shift_scores = [float(observed[idx, (idx + s) % m].sum()) for s in range(m)]
-    delta = float(np.argmax(shift_scores))
+    lags = lag_distribution(observed)
+    delta = float(np.argmax(lags))
     if delta > m / 2:
         delta -= m
 
     d_hat = 0.5 * (d_range[0] + d_range[1])
     b_hat = 0.9
     for _ in range(4):
-        d_hat, _ = _golden_max(lambda d: gps_objective(observed, delta, d, b_hat),
+        d_hat, _ = _golden_max(lambda d: gps_objective(lags, delta, d, b_hat),
                                d_range[0], d_range[1], tol=1e-6)
-        b_hat, _ = _golden_max(lambda b: gps_objective(observed, delta, d_hat, b),
+        b_hat, _ = _golden_max(lambda b: gps_objective(lags, delta, d_hat, b),
                                0.0, 1.0 - 1e-9, tol=1e-9)
-    delta, _ = _golden_max(lambda s: gps_objective(observed, s, d_hat, b_hat),
+    delta, _ = _golden_max(lambda s: gps_objective(lags, s, d_hat, b_hat),
                            delta - 1.0, delta + 1.0, tol=1e-6)
-    d_hat, _ = _golden_max(lambda d: gps_objective(observed, delta, d, b_hat),
+    d_hat, _ = _golden_max(lambda d: gps_objective(lags, delta, d, b_hat),
                            d_range[0], d_range[1], tol=1e-6)
-    b_hat, _ = _golden_max(lambda b: gps_objective(observed, delta, d_hat, b),
+    b_hat, _ = _golden_max(lambda b: gps_objective(lags, delta, d_hat, b),
                            0.0, 1.0 - 1e-9, tol=1e-9)
     return delta, d_hat, b_hat

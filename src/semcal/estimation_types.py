@@ -94,10 +94,9 @@ class SampleSet:
         return len(self.records)
 
 
-def _toroidal_offsets(size: int) -> np.ndarray:
-    """Signed wrap-around offsets 0..size-1 mapped into (-size/2, size/2]."""
-    k = np.arange(size, dtype=float)
-    return np.where(k > size / 2, k - size, k)
+def toroidal_offset(raw, size: int):
+    """Wrap signed offsets on a ring of ``size`` cells into [-size/2, size/2)."""
+    return (raw + size / 2) % size - size / 2
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,7 @@ class GpsModel:
                 f"floor mass {self.grid_size * self.c} leaves no room for the peak")
 
     def _gaussian_profile(self) -> np.ndarray:
-        offsets = _toroidal_offsets(self.grid_size)
+        offsets = toroidal_offset(np.arange(self.grid_size, dtype=float), self.grid_size)
         return np.exp(-(offsets**2) / (2.0 * self.d**2))
 
     @property
@@ -151,7 +150,6 @@ class GpsModel:
         k = self.peak_coefficient
         true_idx = np.arange(m).reshape(-1, 1)
         rep_idx = np.arange(m).reshape(1, -1)
-        raw = rep_idx - self.delta_e - true_idx
-        dist = (raw + m / 2) % m - m / 2
+        dist = toroidal_offset(rep_idx - self.delta_e - true_idx, m)
         rows = k * np.exp(-(dist**2) / (2.0 * self.d**2)) + self.c
         return rows / rows.sum(axis=1, keepdims=True)

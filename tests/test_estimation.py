@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from semcal import (
     Alphabet,
@@ -22,6 +23,7 @@ from semcal import (
     gps_cep_doc,
     gps_fit,
     gps_objective,
+    lag_distribution,
     optimal_truth_function,
     optimize_belief,
     semantic_bayes,
@@ -30,10 +32,16 @@ from semcal import (
 from fractions import Fraction
 
 from semcal.errors import (
+    BeliefOutOfRange,
     DegenerateGeometry,
     DegenerateInput,
     EmptyConditionSubset,
     GridTooCoarse,
+    NegativeMass,
+    NonFinite,
+    NotNormalized,
+    OutOfRange,
+    ValidationError,
     ZeroRow,
 )
 
@@ -215,3 +223,156 @@ class TestGpsFit:
     def test_too_coarse(self):
         with pytest.raises(GridTooCoarse):
             GpsModel(grid_size=100, delta_e=0, d=1.0, c=0.0)
+
+
+class TestGpsModelChannel:
+    @pytest.mark.parametrize("m, delta_e, d, c", [
+        (200, 3, 6.0, 0.001), (201, -2.5, 5.0, 0.0), (64, 7.25, 4.0, 0.002), (9, 0.5, 2.0, 0.01),
+    ])
+    def test_channel_matrix_matches_dense_formula(self, m, delta_e, d, c):
+        k = np.arange(m, dtype=float)
+        offsets = np.where(k > m / 2, k - m, k)
+        profile_sum = float(np.exp(-(offsets**2) / (2.0 * d**2)).sum())
+        peak = (1.0 - m * c) / profile_sum
+        true_idx = np.arange(m).reshape(-1, 1)
+        rep_idx = np.arange(m).reshape(1, -1)
+        raw = rep_idx - delta_e - true_idx
+        dist = (raw + m / 2) % m - m / 2
+        rows = peak * np.exp(-(dist**2) / (2.0 * d**2)) + c
+        expected = rows / rows.sum(axis=1, keepdims=True)
+        model = GpsModel(grid_size=m, delta_e=delta_e, d=d, c=c)
+        assert np.array_equal(model.channel_matrix(), expected)
+
+
+def dense_gps_objective(observed, delta, d, b):
+    """O(m^2) reference: the truth matrix over every (true, reported) pair."""
+    m = observed.shape[0]
+    true_idx = np.arange(m).reshape(-1, 1)
+    rep_idx = np.arange(m).reshape(1, -1)
+    raw = rep_idx - delta - true_idx
+    dist = (raw + m / 2) % m - m / 2
+    truth = b * np.exp(-(dist**2) / (2.0 * d**2)) + (1.0 - b)
+    logical = truth.mean(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.log2(truth) - np.log2(logical)[None, :]
+        joint = observed / m
+        terms = joint * log_ratio
+    if np.any(np.isneginf(log_ratio) & (joint > 0)):
+        return float("-inf")
+    return float(np.sum(terms[joint > 0]))
+
+
+def random_channel(m, seed, zero_share):
+    """Row-normalized non-negative m x m channel with about zero_share zeros."""
+    rng = np.random.default_rng(seed)
+    weights = rng.random((m, m))
+    weights[rng.random((m, m)) < zero_share] = 0.0
+    empty = weights.sum(axis=1) == 0
+    weights[empty, rng.integers(0, m, size=int(empty.sum()))] = 1.0
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+class TestLagReductionEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(8, 64), seed=st.integers(0, 2**32 - 1),
+           zero_share=st.floats(0.0, 0.95), delta=st.floats(-70.0, 70.0),
+           d=st.floats(0.1, 40.0), b=st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+    @example(m=16, seed=0, zero_share=0.0, delta=0.0, d=0.2, b=1.0)  # -inf branch
+    def test_matches_dense_objective(self, m, seed, zero_share, delta, d, b):
+        observed = random_channel(m, seed, zero_share)
+        reference = dense_gps_objective(observed, delta, d, b)
+        for channel in (observed, lag_distribution(observed)):
+            value = gps_objective(channel, delta, d, b)
+            if reference == float("-inf"):
+                assert value == float("-inf")
+            else:
+                assert value == pytest.approx(reference, rel=1e-10, abs=1e-10)
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(8, 64), seed=st.integers(0, 2**32 - 1), zero_share=st.floats(0.0, 0.95))
+    def test_peak_lag_is_best_integer_shift(self, m, seed, zero_share):
+        observed = random_channel(m, seed, zero_share)
+        idx = np.arange(m)
+        shift_scores = [observed[idx, (idx + s) % m].sum() for s in range(m)]
+        assert np.argmax(lag_distribution(observed)) == np.argmax(shift_scores)
+
+
+_GOOD_CHANNEL = GpsModel(grid_size=32, delta_e=1, d=3.0, c=0.001).channel_matrix()
+
+
+def _channel(kind):
+    observed = _GOOD_CHANNEL.copy()
+    if kind == "negative":      # rows still sum to 1
+        observed[0, 20] -= 0.01
+        observed[0, 21] += 0.01
+    elif kind == "rows_sum_to_3":
+        observed *= 3.0
+    elif kind == "nan":
+        observed[2, 3] = float("nan")
+    elif kind == "inf":
+        observed[2, 3] = float("inf")
+    return observed
+
+
+def _lags(kind):
+    lags = lag_distribution(_GOOD_CHANNEL)
+    if kind == "negative":
+        lags[20] -= 0.01
+        lags[21] += 0.01
+    elif kind == "sums_to_3":
+        lags *= 3.0
+    elif kind == "nan":
+        lags[3] = float("nan")
+    return lags
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestGpsValidation:
+    @pytest.mark.parametrize("delta, d, b, error", [
+        (0.0, 0.0, 0.9, OutOfRange),
+        (0.0, -1.0, 0.9, OutOfRange),
+        (0.0, NAN, 0.9, NonFinite),
+        (0.0, INF, 0.9, NonFinite),
+        (0.0, 3.0, 1.5, BeliefOutOfRange),
+        (0.0, 3.0, -0.1, BeliefOutOfRange),
+        (0.0, 3.0, NAN, BeliefOutOfRange),
+        (NAN, 3.0, 0.9, NonFinite),
+        (INF, 3.0, 0.9, NonFinite),
+    ])
+    def test_objective_rejects_bad_parameters(self, delta, d, b, error):
+        for observed in (_GOOD_CHANNEL, lag_distribution(_GOOD_CHANNEL)):
+            with pytest.raises(error) as info:
+                gps_objective(observed, delta, d, b)
+            assert isinstance(info.value, ValidationError) and info.value.exit_code == 1
+
+    @pytest.mark.parametrize("observed, error", [
+        (_channel("negative"), NegativeMass),
+        (_channel("rows_sum_to_3"), NotNormalized),
+        (_channel("nan"), NonFinite),
+        (_channel("inf"), NonFinite),
+        (_lags("negative"), NegativeMass),
+        (_lags("sums_to_3"), NotNormalized),
+        (_lags("nan"), NonFinite),
+    ], ids=["negative", "rows_sum_to_3", "nan", "inf",
+            "lags_negative", "lags_sum_to_3", "lags_nan"])
+    def test_objective_rejects_bad_channel(self, observed, error):
+        with pytest.raises(error) as info:
+            gps_objective(observed, 0.0, 3.0, 0.9)
+        assert isinstance(info.value, ValidationError) and info.value.exit_code == 1
+
+    @pytest.mark.parametrize("kind, error", [
+        ("negative", NegativeMass),
+        ("rows_sum_to_3", NotNormalized),
+        ("nan", NonFinite),
+        ("inf", NonFinite),
+    ])
+    def test_fit_rejects_bad_channel(self, kind, error):
+        with pytest.raises(error) as info:
+            gps_fit(_channel(kind))
+        assert isinstance(info.value, ValidationError) and info.value.exit_code == 1
+
+    def test_non_square_channel(self):
+        with pytest.raises(DegenerateInput):
+            lag_distribution(np.full((4, 5), 0.2))
