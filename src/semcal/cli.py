@@ -34,7 +34,13 @@ from .confirmation import (
 )
 from .distributions import Alphabet, Distribution
 from .errors import ParseError, SemcalError
-from .estimation import channel_from_samples, gps_fit, optimal_truth_function, optimize_belief
+from .estimation import (
+    channel_from_samples,
+    empirical_conditional,
+    gps_fit,
+    optimal_truth_function,
+    optimize_belief,
+)
 from .estimation_types import GpsModel, SampleSet
 from .semantic_info import average_semantic_info, gkl_decomposition, pointwise_semantic_info
 from .truth_functions import Crisp, Gaussian, Tabular, belief_adjust
@@ -276,8 +282,6 @@ def cmd_msie(args) -> dict:
         tf = optimal_truth_function(channel, j)
         peak_label = channel.alphabet.labels[max(
             range(len(tf.table)), key=lambda i: tf.table[i])]
-        from .estimation import empirical_conditional
-
         sampling = empirical_conditional(samples, {name})
         result = optimize_belief(Crisp(channel.alphabet, {peak_label}), prior, sampling)
         record["outputs"][name] = {

@@ -22,12 +22,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+from .distributions import Alphabet, Distribution, bayes_invert, kl_divergence, require_finite
 from .errors import (
     DegenerateRates,
     EmptyColumn,
     EmptyRow,
     NegativeMass,
     NotNormalized,
+    UnknownKind,
     ZeroDenominator,
     ZeroSensitivity,
 )
@@ -61,6 +63,7 @@ class RateSpec:
         for name, pair in (("prior", self.prior), ("posterior", self.posterior)):
             if len(pair) != 2:
                 raise NotNormalized(f"{name} must be a pair, got {pair}")
+            require_finite(name, pair)
             if any(v < 0 for v in pair):
                 raise NegativeMass(f"{name} pair has negative mass: {pair}")
             if abs(math.fsum(pair) - 1.0) > 1e-9:
@@ -78,6 +81,7 @@ class ContingencyTable:
 
     def __post_init__(self):
         counts = (self.n11, self.n10, self.n01, self.n00)
+        require_finite("counts", counts)
         if any(c < 0 for c in counts):
             raise NegativeMass(f"counts must be >= 0: {counts}")
         if sum(counts) <= 0:
@@ -88,35 +92,39 @@ class ContingencyTable:
         return self.n11 + self.n10 + self.n01 + self.n00
 
 
-def _info_positive_branch(b_prime: float, q0: float, q1: float,
-                          p0: float, p1: float) -> float:
-    """Average information of the belief-softened hypothesis at disbelief b'.
+def doc_from_ratio(counter_rate, positive_rate) -> tuple[float, float, DocCase]:
+    """(b*, b'*, case) from the hypothesis's two selection rates.
 
-    T on positive examples is 1 and on counterexamples b'; the logical
-    probability is b'*P0 + P1.  Zero-mass terms drop by the 0*log convention.
+    The rates are those at which counterexamples and positive examples
+    select the hypothesis, up to a common factor.  b'* = counter/positive
+    when that ratio is at most 1 (proper affirmation, b* = 1 - b'*);
+    otherwise b'' = positive/counter and b* = b'' - 1 (excessive
+    affirmation).  A zero positive rate is the limit b* = -1, even when the
+    counter rate is zero too.  Plain arithmetic, so Fraction rates give
+    exact results.
     """
-    lp = b_prime * p0 + p1
-    total = 0.0
-    if q1 > 0:
-        total += q1 * math.log2(1.0 / lp)
-    if q0 > 0:
-        total += q0 * (math.log2(b_prime / lp) if b_prime > 0 else float("-inf"))
-    return total
+    if positive_rate > 0 and counter_rate <= positive_rate:
+        b_prime = counter_rate / positive_rate
+        return 1 - b_prime, b_prime, DocCase.PROPER_AFFIRMATION
+    b_pp = positive_rate / counter_rate if counter_rate else positive_rate
+    return b_pp - 1, b_pp, DocCase.EXCESSIVE_AFFIRMATION
 
 
-def _info_negative_branch(b_pp: float, q0: float, q1: float,
-                          p0: float, p1: float) -> float:
-    """Average information of the negatively-believed hypothesis at disbelief b''.
+def _two_mass_info(b_prime: float, q_doubted: float, q_held: float,
+                   p_doubted: float, p_held: float) -> float:
+    """Average information of a two-valued hypothesis at disbelief b'.
 
-    T on positive examples is b'' and on counterexamples 1; the logical
-    probability is P0 + b''*P1.
+    T is 1 on the held outcome and b' on the doubted one, so the logical
+    probability is b'*P_doubted + P_held.  The affirmation doubts the
+    counterexamples; its excessive branch doubts the positive examples.
+    Zero-mass terms drop by the 0*log convention.
     """
-    lp = p0 + b_pp * p1
+    lp = b_prime * p_doubted + p_held
     total = 0.0
-    if q0 > 0:
-        total += q0 * math.log2(1.0 / lp)
-    if q1 > 0:
-        total += q1 * (math.log2(b_pp / lp) if b_pp > 0 else float("-inf"))
+    if q_held > 0:
+        total += q_held * math.log2(1.0 / lp)
+    if q_doubted > 0:
+        total += q_doubted * (math.log2(b_prime / lp) if b_prime > 0 else float("-inf"))
     return total
 
 
@@ -129,7 +137,7 @@ def doc_from_rates(spec: RateSpec, hypothesis: str = "affirmative") -> DocResult
     affirmation and vice versa).
     """
     if hypothesis not in ("affirmative", "denial"):
-        raise DegenerateRates(f"unknown hypothesis kind {hypothesis!r}")
+        raise UnknownKind(f"unknown hypothesis kind {hypothesis!r}")
     p0, p1 = spec.prior
     q0, q1 = spec.posterior
 
@@ -142,24 +150,19 @@ def doc_from_rates(spec: RateSpec, hypothesis: str = "affirmative") -> DocResult
     if p1 == 0.0 and q1 == 0.0:
         raise DegenerateRates("no positive-example mass anywhere; belief is unidentified")
 
-    # Branch on Q0/Q1 <= P0/P1 via cross products (safe for zero masses).
-    if q0 * p1 <= p0 * q1:
-        b_prime = (q0 * p1) / (q1 * p0)
-        b = 1.0 - b_prime
-        case = DocCase.PROPER_AFFIRMATION
-        info = _info_positive_branch(b_prime, q0, q1, p0, p1)
+    # Selection rates up to a common factor: Q0/P0 and Q1/P1, cross-multiplied
+    # so that Q0/Q1 <= P0/P1 is the proper branch (safe for zero masses).
+    b, b_prime, case = doc_from_ratio(q0 * p1, q1 * p0)
+    if case is DocCase.PROPER_AFFIRMATION:
+        info = _two_mass_info(b_prime, q0, q1, p0, p1)
     else:
-        b_prime = (p0 * q1) / (p1 * q0)
-        b = b_prime - 1.0
-        case = DocCase.EXCESSIVE_AFFIRMATION
-        info = _info_negative_branch(b_prime, q0, q1, p0, p1)
+        info = _two_mass_info(b_prime, q1, q0, p1, p0)
 
     if hypothesis == "denial":
         b = -b
         case = (DocCase.EXCESSIVE_NEGATION if case is DocCase.PROPER_AFFIRMATION
                 else DocCase.PROPER_NEGATION)
-    return DocResult(b_star=b, b_prime_star=1.0 - abs(b), case=case,
-                     information_bits=info)
+    return DocResult(b_star=b, b_prime_star=b_prime, case=case, information_bits=info)
 
 
 def rates_for_h1(t: ContingencyTable) -> RateSpec:
@@ -207,37 +210,16 @@ def doc_from_test(sensitivity: float, specificity: float,
     if not 0.0 <= specificity <= 1.0:
         raise NegativeMass(f"specificity must lie in [0,1], got {specificity}")
 
-    positive = _doc_from_row(counter_rate=1.0 - specificity, positive_rate=sensitivity)
-    if specificity == 0.0:
-        negative = DocResult(b_star=-1.0, b_prime_star=0.0,
-                             case=DocCase.EXCESSIVE_AFFIRMATION)
-    else:
-        negative = _doc_from_row(counter_rate=1.0 - sensitivity, positive_rate=specificity)
+    positive = doc_from_ratio(counter_rate=1.0 - specificity, positive_rate=sensitivity)
+    negative = doc_from_ratio(counter_rate=1.0 - sensitivity, positive_rate=specificity)
 
-    if prior_positive is not None:
-        from .distributions import Distribution, _binary_alphabet, bayes_invert, kl_divergence
-
-        prior = Distribution(_binary_alphabet(), (prior_positive, 1.0 - prior_positive))
-        pos_sampling = bayes_invert(prior, (sensitivity, 1.0 - specificity))
-        neg_sampling = bayes_invert(prior, (1.0 - sensitivity, specificity))
-        positive = DocResult(positive.b_star, positive.b_prime_star, positive.case,
-                             kl_divergence(pos_sampling, prior))
-        negative = DocResult(negative.b_star, negative.b_prime_star, negative.case,
-                             kl_divergence(neg_sampling, prior))
-    return positive, negative
-
-
-def _doc_from_row(counter_rate: float, positive_rate: float) -> DocResult:
-    """DOC from a selecting-rule row: b'* = P(h|counterexample)/P(h|positive)."""
-    if positive_rate <= 0:
-        raise ZeroSensitivity("selecting rate on positive examples must be positive")
-    b_prime = counter_rate / positive_rate
-    if b_prime <= 1.0:
-        return DocResult(b_star=1.0 - b_prime, b_prime_star=b_prime,
-                         case=DocCase.PROPER_AFFIRMATION)
-    b_pp = positive_rate / counter_rate
-    return DocResult(b_star=b_pp - 1.0, b_prime_star=b_pp,
-                     case=DocCase.EXCESSIVE_AFFIRMATION)
+    if prior_positive is None:
+        return DocResult(*positive), DocResult(*negative)
+    prior = Distribution(Alphabet(("e1", "e0")), (prior_positive, 1.0 - prior_positive))
+    pos_sampling = bayes_invert(prior, (sensitivity, 1.0 - specificity))
+    neg_sampling = bayes_invert(prior, (1.0 - sensitivity, specificity))
+    return (DocResult(*positive, kl_divergence(pos_sampling, prior)),
+            DocResult(*negative, kl_divergence(neg_sampling, prior)))
 
 
 def predicted_probability(p_e1: float, b_prime_star: float) -> float:

@@ -15,6 +15,7 @@ from .errors import (
     AbsoluteContinuityViolated,
     AlphabetMismatch,
     NegativeMass,
+    NonFinite,
     NotNormalized,
     UnknownLabel,
     ZeroPrior,
@@ -23,6 +24,16 @@ from .errors import (
 
 #: Default tolerance on |sum(probs) - 1| before a distribution is rejected.
 NORMALIZATION_TOLERANCE = 1e-9
+
+
+def require_finite(what: str, values) -> None:
+    """Raise NonFinite unless every value is a finite number.
+
+    Range guards are comparisons, and every comparison with NaN is false,
+    so constructors call this before they check ranges.
+    """
+    if not all(map(math.isfinite, values)):
+        raise NonFinite(f"{what} must be finite, got {values}")
 
 
 @dataclass(frozen=True)
@@ -35,9 +46,11 @@ class Alphabet:
         labels = tuple(str(l) for l in labels)
         if not labels:
             raise NotNormalized("alphabet must not be empty")
-        if len(set(labels)) != len(labels):
+        positions = {label: i for i, label in enumerate(labels)}
+        if len(positions) != len(labels):
             raise NotNormalized(f"duplicate labels in alphabet: {labels}")
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_positions", positions)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -46,17 +59,13 @@ class Alphabet:
         return iter(self.labels)
 
     def __contains__(self, label) -> bool:
-        return label in self.labels
+        return isinstance(label, str) and label in self._positions
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except (KeyError, TypeError):
             raise UnknownLabel(f"label {label!r} not in alphabet {self.labels}") from None
-
-
-def _binary_alphabet() -> Alphabet:
-    return Alphabet(("e1", "e0"))
 
 
 @dataclass(frozen=True)
@@ -76,6 +85,7 @@ class Distribution:
         if len(probs) != len(alphabet):
             raise AlphabetMismatch(
                 f"{len(probs)} probabilities for {len(alphabet)} labels")
+        require_finite("probabilities", probs)
         if any(p < 0 for p in probs):
             raise NegativeMass(f"negative probability in {probs}")
         total = math.fsum(probs)
@@ -87,18 +97,6 @@ class Distribution:
 
     def __getitem__(self, label: str) -> float:
         return self.probs[self.alphabet.index(label)]
-
-    def items(self):
-        return zip(self.alphabet.labels, self.probs)
-
-
-def validate(d: Distribution) -> None:
-    """Re-check the Distribution invariants (construction already enforces them)."""
-    if any(p < 0 for p in d.probs):
-        raise NegativeMass(f"negative probability in {d.probs}")
-    total = math.fsum(d.probs)
-    if abs(total - 1.0) > NORMALIZATION_TOLERANCE:
-        raise NotNormalized(f"probabilities sum to {total}, not 1")
 
 
 def pointwise_info(posterior_prob: float, prior_prob: float) -> float:
@@ -143,13 +141,8 @@ def _kl_or_inf(q: Distribution, p: Distribution) -> float:
         return float("inf")
 
 
-def bayes_invert(prior: Distribution, channel_row: Sequence[float],
-                 selection_prob: float | None = None) -> Distribution:
-    """Posterior P(E|h) from prior P(E) and a selecting-rule row P(h|E).
-
-    ``selection_prob`` (P(h)) is accepted for interface completeness but
-    cancels out of the normalized posterior, so it is never used.
-    """
+def bayes_invert(prior: Distribution, channel_row: Sequence[float]) -> Distribution:
+    """Posterior P(E|h) from prior P(E) and a selecting-rule row P(h|E)."""
     row = [float(v) for v in channel_row]
     if len(row) != len(prior.alphabet):
         raise AlphabetMismatch(

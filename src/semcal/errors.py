@@ -65,6 +65,10 @@ class OutOfRange(ValidationError):
     """A scalar parameter lies outside its domain."""
 
 
+class UnknownKind(ValidationError):
+    """A string option names none of its accepted kinds."""
+
+
 # -- degeneracy ---------------------------------------------------------
 
 class ZeroPrior(DegeneracyError):

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .confirmation import DocCase, DocResult
-from .distributions import NORMALIZATION_TOLERANCE, Distribution, bayes_invert
+from .confirmation import DocCase, DocResult, doc_from_ratio
+from .distributions import NORMALIZATION_TOLERANCE, Distribution, require_finite
 from .errors import (
     BeliefOutOfRange,
     DegenerateGeometry,
@@ -89,14 +89,15 @@ def optimize_belief(base_tf: TruthFunction, prior: Distribution,
 
     Maximizes the average semantic information of the belief-adjusted
     hypothesis over b in [-1, 1], searching each sign branch separately and
-    breaking exact ties toward b = 0 (the tautology, information 0).
+    breaking exact ties toward b = 0 (the tautology, information 0).  The
+    base is evaluated once; each belief is an affine map of that vector.
     """
-    truth_values = base_tf.values(prior.alphabet)
-    if max(truth_values) <= 0:
+    base = Tabular(prior.alphabet, base_tf.values(prior.alphabet))
+    if max(base.table) <= 0:
         raise DegenerateInput("base truth function is identically zero")
 
     def objective(b: float) -> float:
-        return average_semantic_info(belief_adjust(base_tf, b), prior, sampling)
+        return average_semantic_info(belief_adjust(base, b), prior, sampling)
 
     candidates = [(0.0, 0.0)]
     for lo, hi in ((0.0, 1.0), (-1.0, 0.0)):
@@ -153,15 +154,7 @@ def gps_cep_doc(cep_fraction, in_circle_cells: int, total_cells: int) -> DocResu
     f = Fraction(cep_fraction)
     if not 0 < f < 1:
         raise DegenerateGeometry(f"cep fraction must lie in (0,1), got {f}")
-    p1 = f / n
-    p0 = (1 - f) / (N - n)
-    b_prime = p0 / p1
-    if b_prime <= 1:
-        return DocResult(b_star=1 - b_prime, b_prime_star=b_prime,
-                         case=DocCase.PROPER_AFFIRMATION)
-    b_pp = p1 / p0
-    return DocResult(b_star=b_pp - 1, b_prime_star=b_pp,
-                     case=DocCase.EXCESSIVE_AFFIRMATION)
+    return DocResult(*doc_from_ratio(counter_rate=(1 - f) / (N - n), positive_rate=f / n))
 
 
 def lag_distribution(observed: np.ndarray) -> np.ndarray:
@@ -212,8 +205,7 @@ def gps_objective(observed: np.ndarray, delta: float, d: float, b: float) -> flo
     evaluation on the lag distribution h.  Returns ``-inf`` when a lag with
     mass has truth value 0 (possible only at b = 1).
     """
-    if not (math.isfinite(delta) and math.isfinite(d)):
-        raise NonFinite(f"shift and spread must be finite, got delta={delta}, d={d}")
+    require_finite("shift and spread", (delta, d))
     if not d > 0:
         raise OutOfRange(f"spread must be positive, got d={d}")
     if not 0.0 <= b <= 1.0:

@@ -12,12 +12,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import NORMALIZATION_TOLERANCE, Alphabet
+from .distributions import NORMALIZATION_TOLERANCE, Alphabet, require_finite
 from .errors import (
     DegenerateGeometry,
     GridTooCoarse,
     NegativeMass,
     NotNormalized,
+    OutOfRange,
     UnknownLabel,
 )
 
@@ -48,6 +49,7 @@ class Channel:
             if len(row) != len(alphabet):
                 raise NotNormalized(
                     f"row length {len(row)} != alphabet size {len(alphabet)}")
+            require_finite("channel values", row)
             if any(v < 0 or v > 1 for v in row):
                 raise NegativeMass(f"channel values must lie in [0,1]: {row}")
         for i in range(len(alphabet)):
@@ -117,8 +119,9 @@ class GpsModel:
     def __post_init__(self):
         if self.grid_size < 2:
             raise DegenerateGeometry(f"grid_size must be >= 2, got {self.grid_size}")
+        require_finite("delta_e, d and c", (self.delta_e, self.d, self.c))
         if self.d <= 0:
-            raise NegativeMass(f"standard deviation must be positive, got {self.d}")
+            raise OutOfRange(f"standard deviation must be positive, got {self.d}")
         if self.d < 2.0:
             raise GridTooCoarse(
                 f"standard deviation {self.d} is below 2 grid steps")

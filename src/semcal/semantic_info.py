@@ -15,34 +15,21 @@ from __future__ import annotations
 
 import math
 
-from .distributions import Distribution, _kl_or_inf, _require_same_alphabet, kl_divergence
-from .errors import AlphabetMismatch, IndexMismatch, ZeroLogicalProbability
+from .distributions import (
+    Distribution,
+    _kl_or_inf,
+    _require_same_alphabet,
+    bayes_invert,
+    kl_divergence,
+)
+from .errors import AlphabetMismatch, IndexMismatch
 from .estimation_types import Channel
-from .truth_functions import TruthFunction, logical_probability, semantic_bayes
-
-_CONTRADICTION_FLOOR = 1e-12
-
-
-def _logical_probability_checked(tf: TruthFunction, prior: Distribution,
-                                 truth_values) -> float | None:
-    """Logical probability, or None for an exact contradiction.
-
-    A tiny but nonzero logical probability alongside genuinely positive
-    truth values is not a contradiction; it is a degenerate prior.
-    """
-    lp = math.fsum(p * t for p, t in zip(prior.probs, truth_values))
-    if lp == 0.0 and max(truth_values) == 0.0:
-        return None
-    if lp < _CONTRADICTION_FLOOR:
-        raise ZeroLogicalProbability(
-            f"logical probability {lp} is vanishingly small but not an exact contradiction")
-    return lp
+from .truth_functions import TruthFunction, semantic_bayes, truth_and_logical_probability
 
 
 def pointwise_semantic_info(tf: TruthFunction, prior: Distribution, e) -> float:
     """Semantic information of evidence ``e`` about the hypothesis, in bits."""
-    truth_values = tf.values(prior.alphabet)
-    lp = _logical_probability_checked(tf, prior, truth_values)
+    truth_values, lp = truth_and_logical_probability(tf, prior)
     if lp is None:
         return 0.0
     t = truth_values[prior.alphabet.index(e)]
@@ -59,8 +46,7 @@ def average_semantic_info(tf: TruthFunction, prior: Distribution,
     conditional distribution P(E | hypothesis selected).
     """
     _require_same_alphabet(prior, sampling)
-    truth_values = tf.values(prior.alphabet)
-    lp = _logical_probability_checked(tf, prior, truth_values)
+    truth_values, lp = truth_and_logical_probability(tf, prior)
     if lp is None:
         return 0.0
     total = 0.0
@@ -107,8 +93,6 @@ def semantic_mutual_info(channel: Channel, prior: Distribution,
         p_hj = math.fsum(p * v for p, v in zip(prior.probs, row))
         if p_hj == 0.0:
             continue
-        from .distributions import bayes_invert
-
         sampling = bayes_invert(prior, row)
         avg = average_semantic_info(tfs[j], prior, sampling)
         if avg == float("-inf"):

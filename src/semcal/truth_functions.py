@@ -17,7 +17,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .distributions import Alphabet, Distribution
+from .distributions import Alphabet, Distribution, require_finite
 from .errors import (
     AlphabetMismatch,
     BeliefOutOfRange,
@@ -25,6 +25,10 @@ from .errors import (
     UnknownLabel,
     ZeroLogicalProbability,
 )
+
+
+#: Smallest logical probability accepted short of an exact contradiction.
+CONTRADICTION_FLOOR = 1e-12
 
 
 class TruthFunction(ABC):
@@ -35,6 +39,7 @@ class TruthFunction(ABC):
         """Truth value at evidence ``e`` (a label, or a real for Gaussian)."""
 
     def values(self, alphabet: Alphabet) -> tuple[float, ...]:
+        """The truth vector over ``alphabet``: every measure evaluates through this."""
         return tuple(self.value(label) for label in alphabet)
 
 
@@ -73,6 +78,7 @@ class Gaussian(TruthFunction):
     positions: Mapping[str, float] | None = None
 
     def __post_init__(self):
+        require_finite("center and stddev", (self.center, self.stddev))
         if self.stddev <= 0:
             raise NegativeMass(f"stddev must be positive, got {self.stddev}")
 
@@ -103,6 +109,7 @@ class Tabular(TruthFunction):
         if len(table) != len(alphabet):
             raise AlphabetMismatch(
                 f"{len(table)} values for {len(alphabet)} labels")
+        require_finite("truth values", table)
         if any(v < 0 or v > 1 for v in table):
             raise NegativeMass(f"truth values must lie in [0,1]: {table}")
         object.__setattr__(self, "alphabet", alphabet)
@@ -110,6 +117,11 @@ class Tabular(TruthFunction):
 
     def value(self, e) -> float:
         return self.table[self.alphabet.index(e)]
+
+    def values(self, alphabet: Alphabet) -> tuple[float, ...]:
+        if alphabet.labels == self.alphabet.labels:
+            return self.table
+        return super().values(alphabet)
 
 
 @dataclass(frozen=True)
@@ -123,11 +135,15 @@ class BeliefAdjusted(TruthFunction):
         if not -1.0 <= self.belief <= 1.0:
             raise BeliefOutOfRange(f"belief must lie in [-1,1], got {self.belief}")
 
+    def _offset(self) -> float:
+        return 1.0 - self.belief if self.belief >= 0 else 1.0
+
     def value(self, e) -> float:
-        t = self.base.value(e)
-        if self.belief >= 0:
-            return (1.0 - self.belief) + self.belief * t
-        return 1.0 + self.belief * t
+        return self._offset() + self.belief * self.base.value(e)
+
+    def values(self, alphabet: Alphabet) -> tuple[float, ...]:
+        offset, b = self._offset(), self.belief
+        return tuple(offset + b * t for t in self.base.values(alphabet))
 
 
 @dataclass(frozen=True)
@@ -167,7 +183,26 @@ def belief_adjust(tf: TruthFunction, b: float) -> TruthFunction:
 
 def logical_probability(tf: TruthFunction, prior: Distribution) -> float:
     """Prior-weighted average truth value (Zadeh's fuzzy-event probability)."""
-    return math.fsum(p * tf.value(label) for label, p in prior.items())
+    return math.fsum(p * t for p, t in zip(prior.probs, tf.values(prior.alphabet)))
+
+
+def truth_and_logical_probability(tf: TruthFunction, prior: Distribution
+                                  ) -> tuple[tuple[float, ...], float | None]:
+    """The truth vector of ``tf`` over the prior's alphabet and its logical probability.
+
+    The logical probability is None for an exact contradiction (every truth
+    value 0).  Short of that, one below ``CONTRADICTION_FLOOR`` raises
+    ZeroLogicalProbability: alongside positive truth values it marks a
+    degenerate prior, not a contradiction.
+    """
+    truth = tf.values(prior.alphabet)
+    if max(truth) == 0.0:
+        return truth, None
+    lp = math.fsum(p * t for p, t in zip(prior.probs, truth))
+    if lp < CONTRADICTION_FLOOR:
+        raise ZeroLogicalProbability(
+            f"logical probability {lp} is vanishingly small but not an exact contradiction")
+    return truth, lp
 
 
 def semantic_bayes(prior: Distribution, tf: TruthFunction) -> Distribution:
@@ -175,12 +210,7 @@ def semantic_bayes(prior: Distribution, tf: TruthFunction) -> Distribution:
 
     P(e_i | A) = P(e_i) t(e_i) / T(A), where T(A) is the logical probability.
     """
-    lp = logical_probability(tf, prior)
-    if lp <= 0:
-        raise ZeroLogicalProbability(
-            "truth function is a contradiction under this prior")
-    return Distribution(
-        prior.alphabet,
-        [p * tf.value(label) / lp for label, p in prior.items()],
-        tolerance=1e-6,
-    )
+    truth, lp = truth_and_logical_probability(tf, prior)
+    if lp is None:
+        raise ZeroLogicalProbability("truth function is a contradiction")
+    return Distribution(prior.alphabet, [p * t / lp for p, t in zip(prior.probs, truth)])

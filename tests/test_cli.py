@@ -53,6 +53,15 @@ class TestDocCommand:
         assert status == 0
         assert rec["outputs"]["h1"]["b_star"] == pytest.approx(0.9596, abs=1e-4)
 
+    @pytest.mark.parametrize("flag, values", [
+        ("--rates", "nan,1,0.5,0.5"),
+        ("--table", "nan,1,2,3"),
+        ("--table", "1,2,3,inf"),
+    ])
+    def test_non_finite_input_exit_code(self, capsys, flag, values):
+        assert main(["doc", flag, values]) == 1
+        assert "must be finite" in capsys.readouterr().err
+
     def test_requires_exactly_one_form(self, capsys):
         assert main(["doc", "--table", "1,2,3,4", "--rates", "0.5,0.5,0.5,0.5"]) == 1
         assert main(["doc"]) == 1

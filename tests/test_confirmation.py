@@ -18,7 +18,14 @@ from semcal import (
     predicted_probability,
     raven_increments,
 )
-from semcal.errors import DegenerateRates, EmptyColumn, EmptyRow, ZeroDenominator
+from semcal.errors import (
+    DegenerateRates,
+    EmptyColumn,
+    EmptyRow,
+    UnknownKind,
+    ValidationError,
+    ZeroDenominator,
+)
 
 AB = Alphabet(("e1", "e0"))
 
@@ -47,6 +54,12 @@ class TestDocFromRates:
         assert r.b_star == pytest.approx(0.0, abs=1e-12)
         assert r.b_prime_star == pytest.approx(1.0, abs=1e-12)
         assert r.information_bits == pytest.approx(0.0, abs=1e-12)
+
+    def test_unknown_hypothesis_kind_is_a_validation_error(self):
+        with pytest.raises(UnknownKind) as info:
+            doc_from_rates(RateSpec((0.2, 0.8), (0.01, 0.99)), hypothesis="bogus")
+        assert isinstance(info.value, ValidationError)
+        assert info.value.exit_code == 1
 
     def test_degenerate_rates(self):
         with pytest.raises(DegenerateRates):
@@ -136,6 +149,16 @@ class TestDocFromTest:
     def test_poor_specificity_caps_confirmation(self):
         pos, _ = doc_from_test(1.0, 0.5)
         assert pos.b_star == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("sens", [1.0, 0.5, 0.2])
+    def test_zero_specificity(self, sens):
+        # the "-" reading never fires on a negative case: b-* is -1, even at
+        # sensitivity 1, where both of its selection rates are 0
+        pos, neg = doc_from_test(sens, 0.0)
+        assert (neg.b_star, neg.b_prime_star) == (-1.0, 0.0)
+        assert neg.case is DocCase.EXCESSIVE_AFFIRMATION
+        # "+" fires on every negative case, so b'' = sensitivity
+        assert pos.b_star == pytest.approx(sens - 1.0, abs=1e-15)
 
     def test_likelihood_ratio_relation(self):
         rng = random.Random(23)

@@ -10,6 +10,7 @@ from semcal import (
     Channel,
     Crisp,
     Distribution,
+    DocCase,
     GpsModel,
     RateSpec,
     SampleSet,
@@ -183,6 +184,16 @@ class TestGpsCep:
     def test_small_grid(self):
         r = gps_cep_doc(Fraction(9, 10), 1, 10)
         assert r.b_prime_star == Fraction(1, 81)
+
+    def test_excessive_branch_is_exact(self):
+        # half the cells hold a tenth of the mass: the circle is over-asserted
+        f, n, total = Fraction(1, 10), 5, 10
+        p1, p0 = f / n, (1 - f) / (total - n)
+        r = gps_cep_doc(f, n, total)
+        assert r.case is DocCase.EXCESSIVE_AFFIRMATION
+        assert isinstance(r.b_star, Fraction)
+        assert r.b_star == p1 / p0 - 1
+        assert r.b_prime_star == p1 / p0
 
     def test_degenerate_geometry(self):
         with pytest.raises(DegenerateGeometry):

@@ -24,7 +24,7 @@ from semcal import (
     tautology,
 )
 from semcal.confirmation import ContingencyTable
-from semcal.errors import IndexMismatch
+from semcal.errors import IndexMismatch, ZeroLogicalProbability
 
 AB = Alphabet(("e1", "e0"))
 
@@ -125,6 +125,32 @@ class TestGklDecomposition:
                 average_semantic_info(tf, prior, sampling), abs=1e-9)
             # and the KL information is always an upper bound
             assert penalty >= -1e-12
+
+
+class TestLogicalProbabilityRule:
+    MEASURES = {
+        "pointwise": lambda tf, prior: pointwise_semantic_info(tf, prior, "e0"),
+        "average": lambda tf, prior: average_semantic_info(tf, prior, prior),
+        "semantic_bayes": lambda tf, prior: semantic_bayes(prior, tf),
+        "gkl": lambda tf, prior: gkl_decomposition(tf, prior, prior),
+    }
+
+    @pytest.mark.parametrize("measure", MEASURES.values(), ids=MEASURES.keys())
+    def test_vanishing_logical_probability_raises_everywhere(self, measure):
+        # the hypothesis holds only on a letter of prior mass 1e-13: a
+        # degenerate prior, not a contradiction
+        prior = Distribution(AB, (1 - 1e-13, 1e-13))
+        with pytest.raises(ZeroLogicalProbability):
+            measure(Crisp(AB, {"e0"}), prior)
+
+    @pytest.mark.parametrize("measure", MEASURES.values(), ids=MEASURES.keys())
+    def test_small_logical_probability_above_the_floor_is_accepted(self, measure):
+        prior = Distribution(AB, (1 - 1e-11, 1e-11))
+        measure(Crisp(AB, {"e0"}), prior)
+
+    def test_contradiction_carries_zero_average_information(self):
+        prior = Distribution(AB, (0.8, 0.2))
+        assert average_semantic_info(contradiction(AB), prior, prior) == 0.0
 
 
 class TestSemanticMutualInfo:

@@ -18,7 +18,7 @@ from semcal import (
     semantic_bayes,
     tautology,
 )
-from semcal.errors import BeliefOutOfRange, ZeroLogicalProbability
+from semcal.errors import BeliefOutOfRange, UnknownLabel, ZeroLogicalProbability
 
 AB = Alphabet(("e1", "e0"))
 
@@ -41,6 +41,43 @@ class TestEvaluate:
     def test_belief_out_of_range(self):
         with pytest.raises(BeliefOutOfRange):
             belief_adjust(Crisp(AB, {"e1"}), 1.5)
+
+
+class TestUnknownLabels:
+    LOOKUPS = {
+        "crisp": lambda label: Crisp(AB, {"e1"}).value(label),
+        "tabular": lambda label: Tabular(AB, (0.7, 0.2)).value(label),
+        "distribution": lambda label: Distribution(AB, (0.5, 0.5))[label],
+        "alphabet-index": lambda label: AB.index(label),
+    }
+
+    @pytest.mark.parametrize("label", ["nope", ["e1"], 0], ids=["unknown", "unhashable", "int"])
+    @pytest.mark.parametrize("lookup", LOOKUPS.values(), ids=LOOKUPS.keys())
+    def test_raises_unknown_label(self, lookup, label):
+        with pytest.raises(UnknownLabel):
+            lookup(label)
+
+    def test_membership(self):
+        assert "e1" in AB
+        assert "nope" not in AB
+        assert ["e1"] not in AB
+
+    def test_tabular_on_other_alphabet(self):
+        with pytest.raises(UnknownLabel):
+            Tabular(AB, (0.7, 0.2)).values(Alphabet(("x", "y")))
+
+
+class TestVectorPath:
+    @given(tabular_values, beliefs)
+    def test_belief_adjusted_vector_matches_pointwise(self, values, b):
+        ab = Alphabet([f"x{i}" for i in range(len(values))])
+        for base in (Tabular(ab, values), Crisp(ab, ab.labels[::2])):
+            tf = belief_adjust(base, b)
+            assert tf.values(ab) == tuple(tf.value(label) for label in ab)
+
+    def test_tabular_vector_on_equal_alphabet(self):
+        tf = Tabular(AB, (0.7, 0.2))
+        assert tf.values(Alphabet(("e1", "e0"))) == (0.7, 0.2)
 
 
 class TestLogicalProbability:
