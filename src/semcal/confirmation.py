@@ -29,6 +29,7 @@ from .errors import (
     EmptyRow,
     NegativeMass,
     NotNormalized,
+    OutOfRange,
     UnknownKind,
     ZeroDenominator,
     ZeroSensitivity,
@@ -205,16 +206,22 @@ def doc_from_test(sensitivity: float, specificity: float,
     base rate) is supplied, each result carries the average information of
     the reading, which does depend on the prior.
     """
-    if not 0.0 < sensitivity <= 1.0:
-        raise ZeroSensitivity(f"sensitivity must lie in (0,1], got {sensitivity}")
+    require_finite("sensitivity and specificity", (sensitivity, specificity))
+    if not 0.0 <= sensitivity <= 1.0:
+        raise OutOfRange(f"sensitivity must lie in [0,1], got {sensitivity}")
     if not 0.0 <= specificity <= 1.0:
-        raise NegativeMass(f"specificity must lie in [0,1], got {specificity}")
+        raise OutOfRange(f"specificity must lie in [0,1], got {specificity}")
+    if sensitivity == 0.0:
+        raise ZeroSensitivity("sensitivity is 0: the test never reads positive")
 
     positive = doc_from_ratio(counter_rate=1.0 - specificity, positive_rate=sensitivity)
     negative = doc_from_ratio(counter_rate=1.0 - sensitivity, positive_rate=specificity)
 
     if prior_positive is None:
         return DocResult(*positive), DocResult(*negative)
+    require_finite("prior_positive", (prior_positive,))
+    if not 0.0 <= prior_positive <= 1.0:
+        raise OutOfRange(f"prior_positive must lie in [0,1], got {prior_positive}")
     prior = Distribution(Alphabet(("e1", "e0")), (prior_positive, 1.0 - prior_positive))
     pos_sampling = bayes_invert(prior, (sensitivity, 1.0 - specificity))
     neg_sampling = bayes_invert(prior, (1.0 - sensitivity, specificity))
@@ -227,10 +234,11 @@ def predicted_probability(p_e1: float, b_prime_star: float) -> float:
 
     P(e1 | h^b*) = P(e1) / (P(e1) + b'* (1 - P(e1))).
     """
+    require_finite("p_e1 and b_prime_star", (p_e1, b_prime_star))
     if not 0.0 <= p_e1 <= 1.0:
-        raise NegativeMass(f"p_e1 must lie in [0,1], got {p_e1}")
+        raise OutOfRange(f"p_e1 must lie in [0,1], got {p_e1}")
     if not 0.0 <= b_prime_star <= 1.0:
-        raise NegativeMass(f"b_prime_star must lie in [0,1], got {b_prime_star}")
+        raise OutOfRange(f"b_prime_star must lie in [0,1], got {b_prime_star}")
     denom = p_e1 + b_prime_star * (1.0 - p_e1)
     if denom == 0.0:
         raise ZeroDenominator("both p_e1 and b_prime_star are zero")

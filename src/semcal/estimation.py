@@ -5,14 +5,16 @@ Shannon channel, optimizes a scalar degree of belief by golden-section
 search (the objective is unimodal on each sign branch), and fits the
 1-D position-estimator deviation model by coordinate search on the
 semantic mutual information.
+
+numpy is imported inside the position-model functions, not at module
+load: it is the bulk of ``import semcal``, and only these functions use it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .confirmation import DocCase, DocResult, doc_from_ratio
 from .distributions import NORMALIZATION_TOLERANCE, Distribution, require_finite
@@ -31,6 +33,9 @@ from .errors import (
 from .estimation_types import Channel, SampleSet, toroidal_offset
 from .semantic_info import average_semantic_info
 from .truth_functions import Tabular, TruthFunction, belief_adjust
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -151,6 +156,7 @@ def gps_cep_doc(cep_fraction, in_circle_cells: int, total_cells: int) -> DocResu
     N = int(total_cells)
     if n <= 0 or N <= n:
         raise DegenerateGeometry(f"need 0 < n < N, got n={n}, N={N}")
+    require_finite("cep fraction", (cep_fraction,))
     f = Fraction(cep_fraction)
     if not 0 < f < 1:
         raise DegenerateGeometry(f"cep fraction must lie in (0,1), got {f}")
@@ -165,6 +171,8 @@ def lag_distribution(observed: np.ndarray) -> np.ndarray:
     the joint probability that the reported cell lies k steps past the true
     one.  One O(m^2) gather; the entries total 1.
     """
+    import numpy as np
+
     observed = np.asarray(observed, dtype=float)
     if observed.ndim != 2 or observed.shape[0] != observed.shape[1]:
         raise DegenerateInput(f"observed channel must be square, got {observed.shape}")
@@ -182,6 +190,8 @@ def lag_distribution(observed: np.ndarray) -> np.ndarray:
 
 
 def _check_lags(lags: np.ndarray) -> None:
+    import numpy as np
+
     if not np.isfinite(lags).all():
         raise NonFinite("lag distribution has a NaN or infinite entry")
     if (lags < 0).any():
@@ -205,6 +215,8 @@ def gps_objective(observed: np.ndarray, delta: float, d: float, b: float) -> flo
     evaluation on the lag distribution h.  Returns ``-inf`` when a lag with
     mass has truth value 0 (possible only at b = 1).
     """
+    import numpy as np
+
     require_finite("shift and spread", (delta, d))
     if not d > 0:
         raise OutOfRange(f"spread must be positive, got d={d}")
@@ -241,6 +253,8 @@ def gps_fit(observed: np.ndarray, d_range: tuple[float, float] | None = None
     spread within 5 percent of d, and the belief within 0.02 of the model's
     reference belief.
     """
+    import numpy as np
+
     observed = np.asarray(observed, dtype=float)
     m = observed.shape[0]
     if observed.shape != (m, m) or m < 8:

@@ -1,16 +1,16 @@
 """Data types shared by the estimation layer.
 
 Kept separate from the estimation operations so that the information
-measures can accept a Channel without a circular import.
+measures can accept a Channel without a circular import.  numpy is
+imported inside the GpsModel methods that use it, not at module load: it is
+the bulk of ``import semcal``, and only the position model needs it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .distributions import NORMALIZATION_TOLERANCE, Alphabet, require_finite
 from .errors import (
@@ -21,6 +21,9 @@ from .errors import (
     OutOfRange,
     UnknownLabel,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -132,6 +135,8 @@ class GpsModel:
                 f"floor mass {self.grid_size * self.c} leaves no room for the peak")
 
     def _gaussian_profile(self) -> np.ndarray:
+        import numpy as np
+
         offsets = toroidal_offset(np.arange(self.grid_size, dtype=float), self.grid_size)
         return np.exp(-(offsets**2) / (2.0 * self.d**2))
 
@@ -149,6 +154,8 @@ class GpsModel:
 
     def channel_matrix(self) -> np.ndarray:
         """Rows P(reported | true) indexed [true, reported], each normalized."""
+        import numpy as np
+
         m = self.grid_size
         k = self.peak_coefficient
         true_idx = np.arange(m).reshape(-1, 1)

@@ -22,6 +22,7 @@ from .errors import (
     AlphabetMismatch,
     BeliefOutOfRange,
     NegativeMass,
+    OutOfRange,
     UnknownLabel,
     ZeroLogicalProbability,
 )
@@ -80,14 +81,14 @@ class Gaussian(TruthFunction):
     def __post_init__(self):
         require_finite("center and stddev", (self.center, self.stddev))
         if self.stddev <= 0:
-            raise NegativeMass(f"stddev must be positive, got {self.stddev}")
+            raise OutOfRange(f"stddev must be positive, got {self.stddev}")
 
     def _position(self, e) -> float:
         if isinstance(e, (int, float)):
             return float(e)
-        if self.positions is not None and e in self.positions:
-            return float(self.positions[e])
         try:
+            if self.positions is not None and e in self.positions:
+                return float(self.positions[e])
             return float(e)
         except (TypeError, ValueError):
             raise UnknownLabel(f"no numeric position for label {e!r}") from None

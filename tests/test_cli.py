@@ -34,6 +34,40 @@ def swans_files(tmp_path):
     return str(prior), str(sampling)
 
 
+# argv, exit code: 0 success, 1 parse or validation error, 2 degeneracy
+DOC_EXIT_CODES = {
+    "test-ok": (["--test", "0.917,0.999"], 0),
+    "test-ok-with-prior": (["--test", "0.917,0.999", "--prior-positive", "0.1"], 0),
+    "test-sensitivity-above-1": (["--test", "1.5,0.5"], 1),
+    "test-sensitivity-negative": (["--test=-0.1,0.5"], 1),
+    "test-specificity-above-1": (["--test", "0.5,1.5"], 1),
+    "test-sensitivity-nan": (["--test", "nan,0.5"], 1),
+    "test-specificity-nan": (["--test", "0.5,nan"], 1),
+    "test-sensitivity-inf": (["--test", "inf,0.5"], 1),
+    "test-prior-nan": (["--test", "0.917,0.999", "--prior-positive", "nan"], 1),
+    "test-prior-above-1": (["--test", "0.917,0.999", "--prior-positive", "1.5"], 1),
+    "test-zero-sensitivity": (["--test", "0,0.5"], 2),
+    "test-one-value": (["--test", "0.5"], 1),
+    "rates-ok": (["--rates", "0.2,0.8,0.01,0.99"], 0),
+    "rates-nan": (["--rates", "nan,1,0.5,0.5"], 1),
+    "rates-no-counterexample-mass": (["--rates", "0,1,0,1"], 2),
+    "table-ok": (["--table", "83,57,17,686"], 0),
+    "table-nan": (["--table", "nan,1,2,3"], 1),
+    "table-inf": (["--table", "1,2,3,inf"], 1),
+    "table-negative": (["--table", "1,-2,3,4"], 1),
+    "table-three-values": (["--table", "1,2,3"], 1),
+    "table-empty": (["--table", "0,0,0,0"], 2),
+    "table-no-antecedent": (["--table", "0,0,3,4"], 2),
+}
+
+
+@pytest.mark.parametrize("argv, code", DOC_EXIT_CODES.values(), ids=DOC_EXIT_CODES.keys())
+def test_doc_exit_codes(capsys, argv, code):
+    assert main(["doc", *argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") if code else err == ""
+
+
 class TestDocCommand:
     def test_table(self, capsys):
         status, rec = run_json(capsys, "doc", "--table", "83,57,17,686")

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -22,9 +23,12 @@ from semcal.errors import (
     DegenerateRates,
     EmptyColumn,
     EmptyRow,
+    NonFinite,
+    OutOfRange,
     UnknownKind,
     ValidationError,
     ZeroDenominator,
+    ZeroSensitivity,
 )
 
 AB = Alphabet(("e1", "e0"))
@@ -189,6 +193,31 @@ class TestDocFromTest:
                 reference.b_star, abs=1e-9)
 
 
+    @pytest.mark.parametrize("sens, spec, error", [
+        (math.nan, 0.5, NonFinite),
+        (0.5, math.nan, NonFinite),
+        (math.inf, 0.5, NonFinite),
+        (0.5, -math.inf, NonFinite),
+        (1.5, 0.5, OutOfRange),
+        (-0.1, 0.5, OutOfRange),
+        (0.5, 1.5, OutOfRange),
+        (0.5, -0.1, OutOfRange),
+        (0.0, 0.5, ZeroSensitivity),
+    ])
+    def test_invalid_characteristics(self, sens, spec, error):
+        # validation errors (exit 1) for non-finite and out-of-range inputs;
+        # only a sensitivity of exactly 0 is a degeneracy (exit 2)
+        with pytest.raises(error) as info:
+            doc_from_test(sens, spec)
+        assert info.value.exit_code == (2 if error is ZeroSensitivity else 1)
+
+    @pytest.mark.parametrize("prior, error", [
+        (math.nan, NonFinite), (1.5, OutOfRange), (-0.1, OutOfRange)])
+    def test_invalid_prior(self, prior, error):
+        with pytest.raises(error):
+            doc_from_test(0.917, 0.999, prior_positive=prior)
+
+
 class TestPredictedProbability:
     def test_high_risk_group(self):
         assert predicted_probability(0.1, 0.0011) == pytest.approx(0.991, abs=0.001)
@@ -202,6 +231,18 @@ class TestPredictedProbability:
     def test_zero_denominator(self):
         with pytest.raises(ZeroDenominator):
             predicted_probability(0.0, 0.0)
+
+    @pytest.mark.parametrize("p_e1, b_prime, error", [
+        (math.nan, 0.5, NonFinite),
+        (0.5, math.inf, NonFinite),
+        (1.5, 0.5, OutOfRange),
+        (-0.1, 0.5, OutOfRange),
+        (0.5, 1.5, OutOfRange),
+        (0.5, -0.1, OutOfRange),
+    ])
+    def test_invalid_inputs(self, p_e1, b_prime, error):
+        with pytest.raises(error):
+            predicted_probability(p_e1, b_prime)
 
 
 class TestRavenIncrements:

@@ -195,6 +195,11 @@ class TestGpsCep:
         assert r.b_star == p1 / p0 - 1
         assert r.b_prime_star == p1 / p0
 
+    @pytest.mark.parametrize("cep", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fraction(self, cep):
+        with pytest.raises(NonFinite):
+            gps_cep_doc(cep, 1, 10)
+
     def test_degenerate_geometry(self):
         with pytest.raises(DegenerateGeometry):
             gps_cep_doc(Fraction(1, 2), 10, 10)

@@ -18,7 +18,7 @@ from semcal import (
     semantic_bayes,
     tautology,
 )
-from semcal.errors import BeliefOutOfRange, UnknownLabel, ZeroLogicalProbability
+from semcal.errors import BeliefOutOfRange, OutOfRange, UnknownLabel, ZeroLogicalProbability
 
 AB = Alphabet(("e1", "e0"))
 
@@ -65,6 +65,20 @@ class TestUnknownLabels:
     def test_tabular_on_other_alphabet(self):
         with pytest.raises(UnknownLabel):
             Tabular(AB, (0.7, 0.2)).values(Alphabet(("x", "y")))
+
+
+class TestGaussianErrors:
+    @pytest.mark.parametrize("label", ["nope", ["a"]], ids=["unknown", "unhashable"])
+    def test_label_without_position(self, label):
+        tf = Gaussian(0.0, 1.0, positions={"a": 0.0})
+        assert tf.value("a") == 1.0
+        with pytest.raises(UnknownLabel):
+            tf.value(label)
+
+    @pytest.mark.parametrize("stddev", [0.0, -1.0])
+    def test_nonpositive_stddev_is_out_of_range(self, stddev):
+        with pytest.raises(OutOfRange):
+            Gaussian(0.0, stddev)
 
 
 class TestVectorPath:
