@@ -6,8 +6,8 @@ information of a truth function against prior/sampling files), ``msie``
 and ``reproduce`` (regenerate the built-in worked examples).
 
 All numeric logic lives in the core modules; this layer only parses,
-dispatches, and formats.  Exit codes: 0 success, 1 parse/validation error,
-2 mathematical degeneracy.  Machine output is JSON with fixed key order;
+dispatches, and formats.  Exit codes: 0 success, 1 usage, parse or
+validation error, 2 mathematical degeneracy.  Machine output is JSON with fixed key order;
 negative infinity is emitted as the literal token "-inf".
 """
 
@@ -17,9 +17,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from fractions import Fraction
 
 from . import reproduce as reproduce_mod
 from .confirmation import (
@@ -46,14 +44,11 @@ from .semantic_info import average_semantic_info, gkl_decomposition, pointwise_s
 from .truth_functions import Crisp, Gaussian, Tabular, belief_adjust
 
 
-def _tolerance() -> float:
-    raw = os.environ.get("SEMCAL_TOLERANCE", "")
-    if not raw:
-        return 1e-9
-    try:
-        return float(raw)
-    except ValueError:
-        raise ParseError(f"SEMCAL_TOLERANCE is not a number: {raw!r}") from None
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ParseError (exit 1) instead of exiting 2."""
+
+    def error(self, message):
+        raise ParseError(message)
 
 
 def _parse_floats(text: str, expected: int, what: str) -> list[float]:
@@ -66,42 +61,36 @@ def _parse_floats(text: str, expected: int, what: str) -> list[float]:
         raise ParseError(f"bad number in {what}: {exc}") from None
 
 
+def _read_pairs(path: str, header: str):
+    """Yield the two-column rows of a CSV file, skipping blank and '#' rows."""
+    try:
+        with open(path, newline="") as fh:
+            for row in csv.reader(fh):
+                if not row or row[0].startswith("#"):
+                    continue
+                if len(row) != 2:
+                    raise ParseError(f"{path}: expected '{header}' rows, got {row}")
+                yield row
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+
+
 def _read_distribution(path: str) -> Distribution:
     labels, probs = [], []
     try:
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].startswith("#"):
-                    continue
-                if len(row) != 2:
-                    raise ParseError(f"{path}: expected 'label,probability' rows, got {row}")
-                labels.append(row[0].strip())
-                probs.append(float(row[1]))
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
+        for label, prob in _read_pairs(path, "label,probability"):
+            labels.append(label.strip())
+            probs.append(float(prob))
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    return Distribution(Alphabet(labels), probs, tolerance=_tolerance())
+    return Distribution(Alphabet(labels), probs)
 
 
 def _read_samples(path: str) -> SampleSet:
-    records = []
-    labels: dict[str, None] = {}
-    try:
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].startswith("#"):
-                    continue
-                if len(row) != 2:
-                    raise ParseError(f"{path}: expected 'condition,label' rows, got {row}")
-                condition, label = row[0].strip(), row[1].strip()
-                records.append((condition, label))
-                labels.setdefault(label)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
+    records = [(c.strip(), e.strip()) for c, e in _read_pairs(path, "condition,label")]
     if not records:
         raise ParseError(f"{path}: no sample records")
-    return SampleSet(Alphabet(tuple(labels)), records)
+    return SampleSet(Alphabet(tuple(dict.fromkeys(e for _, e in records))), records)
 
 
 def _parse_tf(spec: str, alphabet: Alphabet):
@@ -130,32 +119,25 @@ def _parse_tf(spec: str, alphabet: Alphabet):
 
 # -- output formatting ---------------------------------------------------
 
+def _token(value):
+    """A non-finite float as its output token "-inf", "inf" or "nan"; else the value."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    return value
+
+
 def _jsonable(value):
-    if isinstance(value, float):
-        if value == float("-inf"):
-            return "-inf"
-        if value == float("inf"):
-            return "inf"
-        if math.isnan(value):
-            return "nan"
-        return value
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    return value
+    return _token(value)
 
 
 def _fmt_scalar(value) -> str:
-    if isinstance(value, float):
-        if value == float("-inf"):
-            return "-inf"
-        if value == float("inf"):
-            return "inf"
+    if isinstance(value, float) and math.isfinite(value):
         return format(value, ".12g")
-    return str(value)
+    return str(_token(value))
 
 
 def _emit(record: dict, fmt: str, out_path: str | None) -> None:
@@ -194,64 +176,56 @@ def _doc_fields(result: DocResult) -> dict:
 
 
 # -- subcommands ---------------------------------------------------------
+#
+# Each fills the record that ``main`` built and returns the exit status.
 
-def cmd_doc(args) -> dict:
+def cmd_doc(args, record: dict) -> int:
     supplied = [name for name in ("table", "rates", "test") if getattr(args, name)]
     if len(supplied) != 1:
         raise ParseError("exactly one of --table, --rates, --test is required")
-    record = {"command": "doc", "inputs": {}, "outputs": {}, "warnings": []}
+    inputs, outputs = record["inputs"], record["outputs"]
 
     if args.table:
         counts = _parse_floats(args.table, 4, "--table")
         table = ContingencyTable(*counts)
-        record["inputs"]["table"] = dict(zip(("n11", "n10", "n01", "n00"), counts))
-        record["outputs"]["h1"] = _doc_fields(doc_h1_from_table(table))
-        record["outputs"]["h2"] = _doc_fields(doc_h2_from_table(table))
+        inputs["table"] = dict(zip(("n11", "n10", "n01", "n00"), counts))
+        outputs["h1"] = _doc_fields(doc_h1_from_table(table))
+        outputs["h2"] = _doc_fields(doc_h2_from_table(table))
         d11, d00 = raven_increments(table)
-        record["outputs"]["raven_increments"] = {
-            "db_star_dn11": d11, "db_star_dn00": d00,
-        }
+        outputs["raven_increments"] = {"db_star_dn11": d11, "db_star_dn00": d00}
     elif args.rates:
         p0, p1, q0, q1 = _parse_floats(args.rates, 4, "--rates")
-        record["inputs"]["rates"] = {"P0": p0, "P1": p1, "Q0": q0, "Q1": q1}
-        result = doc_from_rates(RateSpec(prior=(p0, p1), posterior=(q0, q1)))
-        record["outputs"]["h1"] = _doc_fields(result)
+        inputs["rates"] = {"P0": p0, "P1": p1, "Q0": q0, "Q1": q1}
+        outputs["h1"] = _doc_fields(doc_from_rates(RateSpec(prior=(p0, p1), posterior=(q0, q1))))
     else:
         sens, spec = _parse_floats(args.test, 2, "--test")
-        record["inputs"]["test"] = {"sensitivity": sens, "specificity": spec}
+        inputs["test"] = {"sensitivity": sens, "specificity": spec}
         if args.prior_positive is not None:
-            record["inputs"]["prior_positive"] = args.prior_positive
+            inputs["prior_positive"] = args.prior_positive
         pos, neg = doc_from_test(sens, spec, prior_positive=args.prior_positive)
-        record["outputs"]["positive"] = _doc_fields(pos)
-        record["outputs"]["negative"] = _doc_fields(neg)
-    return record
+        outputs["positive"] = _doc_fields(pos)
+        outputs["negative"] = _doc_fields(neg)
+    return 0
 
 
-def cmd_info(args) -> dict:
+def cmd_info(args, record: dict) -> int:
     prior = _read_distribution(args.prior)
     sampling = _read_distribution(args.sampling)
     tf = _parse_tf(args.tf, prior.alphabet)
-    record = {
-        "command": "info",
-        "inputs": {"prior": args.prior, "sampling": args.sampling, "tf": args.tf},
-        "outputs": {},
-        "warnings": [],
-    }
-    pointwise = {
+    record["inputs"].update(prior=args.prior, sampling=args.sampling, tf=args.tf)
+    outputs = record["outputs"]
+    outputs["pointwise_bits"] = {
         label: pointwise_semantic_info(tf, prior, label) for label in prior.alphabet
     }
-    record["outputs"]["pointwise_bits"] = pointwise
-    record["outputs"]["average_bits"] = average_semantic_info(tf, prior, sampling)
-    kl_info, penalty = gkl_decomposition(tf, prior, sampling)
-    record["outputs"]["kl_info_bits"] = kl_info
-    record["outputs"]["penalty_bits"] = penalty
-    return record
+    outputs["average_bits"] = average_semantic_info(tf, prior, sampling)
+    outputs["kl_info_bits"], outputs["penalty_bits"] = gkl_decomposition(tf, prior, sampling)
+    return 0
 
 
-def cmd_msie(args) -> dict:
+def cmd_msie(args, record: dict) -> int:
     if bool(args.samples) == bool(args.gps):
         raise ParseError("exactly one of --samples, --gps is required")
-    record = {"command": "msie", "inputs": {}, "outputs": {}, "warnings": []}
+    inputs, outputs = record["inputs"], record["outputs"]
 
     if args.gps:
         try:
@@ -265,35 +239,32 @@ def cmd_msie(args) -> dict:
             )
         except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise ParseError(f"bad scenario file {args.gps}: {exc}") from None
-        record["inputs"]["gps"] = scenario
-        delta_hat, d_hat, b_hat = gps_fit(model.channel_matrix())
-        record["outputs"]["delta_e_hat"] = delta_hat
-        record["outputs"]["d_hat"] = d_hat
-        record["outputs"]["b_hat"] = b_hat
-        record["outputs"]["b_reference"] = model.reference_belief
-        return record
+        inputs["gps"] = scenario
+        outputs["delta_e_hat"], outputs["d_hat"], outputs["b_hat"] = gps_fit(
+            model.channel_matrix())
+        outputs["b_reference"] = model.reference_belief
+        return 0
 
     samples = _read_samples(args.samples)
     prior = _read_distribution(args.prior) if args.prior else None
     channel, prior = channel_from_samples(samples, prior)
-    record["inputs"]["samples"] = args.samples
-    record["inputs"]["records"] = len(samples)
+    inputs["samples"] = args.samples
+    inputs["records"] = len(samples)
     for j, name in enumerate(channel.hypotheses):
         tf = optimal_truth_function(channel, j)
         peak_label = channel.alphabet.labels[max(
             range(len(tf.table)), key=lambda i: tf.table[i])]
         sampling = empirical_conditional(samples, {name})
         result = optimize_belief(Crisp(channel.alphabet, {peak_label}), prior, sampling)
-        record["outputs"][name] = {
+        outputs[name] = {
             **{f"truth[{label}]": v for label, v in zip(channel.alphabet, tf.table)},
             **_doc_fields(result),
         }
-    return record
+    return 0
 
 
-def cmd_reproduce(args) -> tuple[dict, int]:
+def cmd_reproduce(args, record: dict) -> int:
     rows = reproduce_mod.reproduce_rows()
-    record = {"command": "reproduce", "inputs": {}, "outputs": {}, "warnings": []}
     for row in rows:
         key = f"{row['item']}.{row['quantity']}"
         record["outputs"][key] = {
@@ -306,12 +277,11 @@ def cmd_reproduce(args) -> tuple[dict, int]:
             record["warnings"].append(
                 f"{key}: published {row['published']} vs computed "
                 f"{_fmt_scalar(row['computed'])} (documented discrepancy)")
-    status = 0 if reproduce_mod.reproduce_ok(rows) else 2
-    return record, status
+    return 0 if reproduce_mod.reproduce_ok(rows) else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="semcal",
         description="Semantic information and degree-of-confirmation calculator.",
     )
@@ -348,17 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    commands = {"doc": cmd_doc, "info": cmd_info, "msie": cmd_msie,
+                "reproduce": cmd_reproduce}
     try:
-        if args.command == "doc":
-            record, status = cmd_doc(args), 0
-        elif args.command == "info":
-            record, status = cmd_info(args), 0
-        elif args.command == "msie":
-            record, status = cmd_msie(args), 0
-        else:
-            record, status = cmd_reproduce(args)
+        args = build_parser().parse_args(argv)
+        record = {"command": args.command, "inputs": {}, "outputs": {}, "warnings": []}
+        status = commands[args.command](args, record)
     except SemcalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -17,12 +17,13 @@ from .errors import (
     NegativeMass,
     NonFinite,
     NotNormalized,
+    OutOfRange,
     UnknownLabel,
     ZeroPrior,
     ZeroSelectionMass,
 )
 
-#: Default tolerance on |sum(probs) - 1| before a distribution is rejected.
+#: Tolerance on |sum(probs) - 1| before a distribution is rejected.
 NORMALIZATION_TOLERANCE = 1e-9
 
 
@@ -72,15 +73,15 @@ class Alphabet:
 class Distribution:
     """A probability distribution over an :class:`Alphabet`.
 
-    Probabilities within ``tolerance`` of summing to 1 are renormalized
-    exactly at construction, so ``sum(d.probs) == 1.0`` up to float rounding.
+    Probabilities within ``NORMALIZATION_TOLERANCE`` of summing to 1 are
+    renormalized exactly at construction, so ``sum(d.probs) == 1.0`` up to
+    float rounding.
     """
 
     alphabet: Alphabet
     probs: tuple[float, ...] = field(default=())
 
-    def __init__(self, alphabet: Alphabet, probs: Sequence[float],
-                 tolerance: float = NORMALIZATION_TOLERANCE):
+    def __init__(self, alphabet: Alphabet, probs: Sequence[float]):
         probs = tuple(float(p) for p in probs)
         if len(probs) != len(alphabet):
             raise AlphabetMismatch(
@@ -89,7 +90,7 @@ class Distribution:
         if any(p < 0 for p in probs):
             raise NegativeMass(f"negative probability in {probs}")
         total = math.fsum(probs)
-        if abs(total - 1.0) > tolerance:
+        if abs(total - 1.0) > NORMALIZATION_TOLERANCE:
             raise NotNormalized(f"probabilities sum to {total}, not 1")
         probs = tuple(p / total for p in probs)
         object.__setattr__(self, "alphabet", alphabet)
@@ -148,7 +149,7 @@ def bayes_invert(prior: Distribution, channel_row: Sequence[float]) -> Distribut
         raise AlphabetMismatch(
             f"channel row length {len(row)} != alphabet size {len(prior.alphabet)}")
     if any(v < 0 or v > 1 for v in row):
-        raise NegativeMass(f"channel row values must lie in [0,1]: {row}")
+        raise OutOfRange(f"channel row values must lie in [0,1]: {row}")
     joint = [p * v for p, v in zip(prior.probs, row)]
     mass = math.fsum(joint)
     if mass <= 0:

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 from .confirmation import DocCase, DocResult, doc_from_ratio
 from .distributions import NORMALIZATION_TOLERANCE, Distribution, require_finite
 from .errors import (
+    AlphabetMismatch,
     BeliefOutOfRange,
     DegenerateGeometry,
     DegenerateInput,
@@ -123,13 +124,20 @@ def channel_from_samples(samples: SampleSet,
 
     Each distinct condition tag becomes a hypothesis; its row is
     P(C_j) * P(e_i|C_j) / P(e_i).  With the empirical marginal as prior the
-    columns are exactly normalized.  Returns (channel, prior).
+    columns are exactly normalized.  A prior over the same labels in another
+    order is reordered to the samples' order.  Returns (channel, prior).
     """
     conditions = samples.conditions()
     if not conditions:
         raise EmptyConditionSubset("sample set has no records")
+    labels = samples.alphabet.labels
     if prior is None:
         prior = empirical_conditional(samples, conditions)
+    elif prior.alphabet.labels != labels:
+        if set(prior.alphabet.labels) != set(labels):
+            raise AlphabetMismatch(
+                f"prior labels {prior.alphabet.labels} differ from sample labels {labels}")
+        prior = Distribution(samples.alphabet, [prior[label] for label in labels])
     share = {c: 0 for c in conditions}
     for c, _ in samples.records:
         share[c] += 1
@@ -244,9 +252,9 @@ def gps_fit(observed: np.ndarray, d_range: tuple[float, float] | None = None
 
     Reduces the channel to its lag distribution once (O(m^2)); every
     objective evaluation after that is O(m).  The integer shift is the lag
-    with the most mass; then golden-section passes alternate on the spread
-    d and the belief b, and the shift is refined continuously.  Returns
-    (delta_hat, d_hat, b_hat).
+    with the most mass; then five passes each run a golden-section search on
+    the spread d and then on the belief b, and the shift is refined
+    continuously before the fifth.  Returns (delta_hat, d_hat, b_hat).
 
     On grids of at least 200 cells whose true spread is at least 4 steps,
     the recovered shift is within one grid step of the true delta_e, the
@@ -271,15 +279,12 @@ def gps_fit(observed: np.ndarray, d_range: tuple[float, float] | None = None
 
     d_hat = 0.5 * (d_range[0] + d_range[1])
     b_hat = 0.9
-    for _ in range(4):
+    for fit_pass in range(5):
+        if fit_pass == 4:
+            delta, _ = _golden_max(lambda s: gps_objective(lags, s, d_hat, b_hat),
+                                   delta - 1.0, delta + 1.0, tol=1e-6)
         d_hat, _ = _golden_max(lambda d: gps_objective(lags, delta, d, b_hat),
                                d_range[0], d_range[1], tol=1e-6)
         b_hat, _ = _golden_max(lambda b: gps_objective(lags, delta, d_hat, b),
                                0.0, 1.0 - 1e-9, tol=1e-9)
-    delta, _ = _golden_max(lambda s: gps_objective(lags, s, d_hat, b_hat),
-                           delta - 1.0, delta + 1.0, tol=1e-6)
-    d_hat, _ = _golden_max(lambda d: gps_objective(lags, delta, d, b_hat),
-                           d_range[0], d_range[1], tol=1e-6)
-    b_hat, _ = _golden_max(lambda b: gps_objective(lags, delta, d_hat, b),
-                           0.0, 1.0 - 1e-9, tol=1e-9)
     return delta, d_hat, b_hat

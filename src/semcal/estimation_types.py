@@ -54,7 +54,7 @@ class Channel:
                     f"row length {len(row)} != alphabet size {len(alphabet)}")
             require_finite("channel values", row)
             if any(v < 0 or v > 1 for v in row):
-                raise NegativeMass(f"channel values must lie in [0,1]: {row}")
+                raise OutOfRange(f"channel values must lie in [0,1]: {row}")
         for i in range(len(alphabet)):
             col = math.fsum(row[i] for row in rows)
             if abs(col - 1.0) > tolerance:

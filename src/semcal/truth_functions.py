@@ -21,7 +21,6 @@ from .distributions import Alphabet, Distribution, require_finite
 from .errors import (
     AlphabetMismatch,
     BeliefOutOfRange,
-    NegativeMass,
     OutOfRange,
     UnknownLabel,
     ZeroLogicalProbability,
@@ -112,7 +111,7 @@ class Tabular(TruthFunction):
                 f"{len(table)} values for {len(alphabet)} labels")
         require_finite("truth values", table)
         if any(v < 0 or v > 1 for v in table):
-            raise NegativeMass(f"truth values must lie in [0,1]: {table}")
+            raise OutOfRange(f"truth values must lie in [0,1]: {table}")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "table", table)
 

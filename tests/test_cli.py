@@ -2,8 +2,15 @@ import json
 
 import pytest
 
-from semcal import ContingencyTable, doc_h1_from_table, doc_h2_from_table
-from semcal.cli import main
+from semcal import (
+    ContingencyTable,
+    doc_h1_from_table,
+    doc_h2_from_table,
+    raven_increments,
+)
+from semcal.cli import _read_pairs, main
+from semcal.errors import ParseError
+from semcal.reproduce import reproduce_rows
 
 
 def run(capsys, *argv):
@@ -58,6 +65,16 @@ DOC_EXIT_CODES = {
     "table-three-values": (["--table", "1,2,3"], 1),
     "table-empty": (["--table", "0,0,0,0"], 2),
     "table-no-antecedent": (["--table", "0,0,3,4"], 2),
+    "usage-prior-not-a-number": (["--test", "0.5,0.5", "--prior-positive", "x"], 1),
+    "usage-unknown-format": (["--table", "83,57,17,686", "--format", "xml"], 1),
+    "usage-unknown-option": (["--table", "83,57,17,686", "--bogus", "1"], 1),
+}
+
+# usage errors outside ``doc``: argv, exit code
+USAGE_EXIT_CODES = {
+    "info-missing-sampling": (["info", "--prior", "p.csv", "--tf", "crisp:e1"], 1),
+    "unknown-subcommand": (["bogus"], 1),
+    "missing-subcommand": ([], 1),
 }
 
 
@@ -66,6 +83,20 @@ def test_doc_exit_codes(capsys, argv, code):
     assert main(["doc", *argv]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") if code else err == ""
+
+
+@pytest.mark.parametrize("argv, code", USAGE_EXIT_CODES.values(), ids=USAGE_EXIT_CODES.keys())
+def test_usage_exit_codes(capsys, argv, code):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["doc", "--help"])
+    assert info.value.code == 0
+    assert "--table" in capsys.readouterr().out
 
 
 class TestDocCommand:
@@ -118,6 +149,26 @@ class TestDocCommand:
         _, second = run(capsys, "doc", "--table", "83,57,17,686", "--format", "json")
         assert first == second
 
+    def test_text_layout(self, capsys):
+        status, out = run(capsys, "doc", "--table", "83,57,17,686")
+        assert status == 0
+        table = ContingencyTable(83, 57, 17, 686)
+        lines = ["command: doc", "inputs:", "  table:"]
+        lines += [f"    {k:<28} {v}" for k, v in (("n11", 83), ("n10", 57), ("n01", 17),
+                                                   ("n00", 686))]
+        lines.append("outputs:")
+        for name, result in (("h1", doc_h1_from_table(table)), ("h2", doc_h2_from_table(table))):
+            lines.append(f"  {name}:")
+            lines += [f"    {'b_star':<28} {result.b_star:.12g}",
+                      f"    {'b_prime_star':<28} {result.b_prime_star:.12g}",
+                      f"    {'case':<28} {result.case.value}",
+                      f"    {'information_bits':<28} {result.information_bits:.12g}"]
+        d11, d00 = raven_increments(table)
+        lines += ["  raven_increments:",
+                  f"    {'db_star_dn11':<28} {d11:.12g}",
+                  f"    {'db_star_dn00':<28} {d00:.12g}"]
+        assert out == "\n".join(lines) + "\n"
+
     def test_out_file(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         status = main(["doc", "--rates", "0.2,0.8,0.01,0.99",
@@ -148,6 +199,16 @@ class TestInfoCommand:
         assert status == 0
         assert rec["outputs"]["average_bits"] == "-inf"
         assert rec["outputs"]["pointwise_bits"]["e0"] == "-inf"
+
+    def test_tolerance_variable_is_ignored(self, capsys, monkeypatch, tmp_path, swans_files):
+        # a prior summing to 5 stays unnormalized whatever the environment says
+        prior = tmp_path / "prior5.csv"
+        prior.write_text("e1,4\ne0,1\n")
+        _, sampling = swans_files
+        monkeypatch.setenv("SEMCAL_TOLERANCE", "nan")
+        assert main(["info", "--prior", str(prior), "--sampling", sampling,
+                     "--tf", "crisp:e1"]) == 1
+        assert "sum to 5" in capsys.readouterr().err
 
     def test_text_format_minus_inf_token(self, capsys, swans_files):
         prior, sampling = swans_files
@@ -187,6 +248,44 @@ class TestMsieCommand:
             rec["outputs"]["b_reference"], abs=0.02)
 
 
+    def test_prior_in_other_label_order(self, capsys, birds_csv, tmp_path):
+        _, plain = run_json(capsys, "msie", "--samples", birds_csv)
+        prior = tmp_path / "prior.csv"
+        prior.write_text(f"e0,{743 / 843!r}\ne1,{100 / 843!r}\n")
+        status, rec = run_json(capsys, "msie", "--samples", birds_csv, "--prior", str(prior))
+        assert status == 0
+        assert rec["outputs"] == plain["outputs"]
+
+    def test_prior_on_other_labels(self, capsys, birds_csv, tmp_path):
+        prior = tmp_path / "prior.csv"
+        prior.write_text("x,0.5\ny,0.5\n")
+        assert main(["msie", "--samples", birds_csv, "--prior", str(prior)]) == 1
+        assert "differ from sample labels" in capsys.readouterr().err
+
+
+class TestReadPairs:
+    def test_skips_comments_and_blank_lines(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("# label,probability\n\ne1, 0.8\n\n#e2,1\ne0,0.2\n")
+        assert list(_read_pairs(str(path), "label,probability")) == [
+            ["e1", " 0.8"], ["e0", "0.2"]]
+
+    def test_three_column_row(self, capsys, tmp_path, swans_files):
+        path = tmp_path / "three.csv"
+        path.write_text("e1,0.8,1\ne0,0.2\n")
+        with pytest.raises(ParseError, match="expected 'label,probability' rows"):
+            list(_read_pairs(str(path), "label,probability"))
+        _, sampling = swans_files
+        assert main(["info", "--prior", str(path), "--sampling", sampling,
+                     "--tf", "crisp:e1"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: expected 'label,probability' rows, got ['e1', '0.8', '1']\n")
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ParseError, match="cannot read"):
+            list(_read_pairs(str(tmp_path / "missing.csv"), "condition,label"))
+
+
 class TestReproduceCommand:
     def test_exit_zero_with_documented_warnings(self, capsys):
         status, rec = run_json(capsys, "reproduce")
@@ -196,6 +295,16 @@ class TestReproduceCommand:
         assert statuses["hiv-test.information_bits_negative"] == "warning"
         assert all(s in ("match", "warning") for s in statuses.values())
         assert len(rec["warnings"]) == 2
+
+    def test_text_warning_lines(self, capsys):
+        status, out = run(capsys, "reproduce")
+        assert status == 0
+        expected = [
+            f"warning: {row['item']}.{row['quantity']}: published {row['published']} "
+            f"vs computed {row['computed']:.12g} (documented discrepancy)"
+            for row in reproduce_rows() if row["status"] == "warning"]
+        assert len(expected) == 2
+        assert out.splitlines()[-2:] == expected
 
     def test_cep_row_exact(self, capsys):
         _, rec = run_json(capsys, "reproduce")

@@ -9,6 +9,7 @@ from semcal.errors import (
     AbsoluteContinuityViolated,
     AlphabetMismatch,
     NotNormalized,
+    OutOfRange,
     UnknownLabel,
     ZeroPrior,
     ZeroSelectionMass,
@@ -130,6 +131,11 @@ class TestBayesInvert:
     def test_zero_selection_mass(self):
         with pytest.raises(ZeroSelectionMass):
             bayes_invert(Distribution(AB, (1.0, 0.0)), (0.0, 1.0))
+
+    @pytest.mark.parametrize("value", [1.5, -0.25])
+    def test_row_value_outside_unit_interval_is_out_of_range(self, value):
+        with pytest.raises(OutOfRange):
+            bayes_invert(Distribution(AB, (0.5, 0.5)), (value, 0.5))
 
     @given(positive_probs, st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6))
     def test_output_is_valid_distribution(self, ps, row):

@@ -33,6 +33,7 @@ from semcal import (
 from fractions import Fraction
 
 from semcal.errors import (
+    AlphabetMismatch,
     BeliefOutOfRange,
     DegenerateGeometry,
     DegenerateInput,
@@ -171,6 +172,25 @@ class TestChannelFromSamples:
             predicted = semantic_bayes(prior, tf)
             observed = empirical_conditional(birds_samples(), {name})
             assert predicted.probs == pytest.approx(observed.probs, abs=1e-6)
+
+    def test_reordered_prior_gives_the_same_channel(self):
+        channel, prior = channel_from_samples(birds_samples())
+        reversed_prior = Distribution(Alphabet(("e0", "e1")), prior.probs[::-1])
+        channel2, prior2 = channel_from_samples(birds_samples(), reversed_prior)
+        assert channel2 == channel
+        assert prior2 == prior
+
+    @pytest.mark.parametrize("labels", [("x", "y"), ("e1", "e0", "e2")])
+    def test_prior_on_other_labels(self, labels):
+        prior = Distribution(Alphabet(labels), [1.0 / len(labels)] * len(labels))
+        with pytest.raises(AlphabetMismatch):
+            channel_from_samples(birds_samples(), prior)
+
+
+@pytest.mark.parametrize("value", [1.5, -0.25])
+def test_channel_value_outside_unit_interval_is_out_of_range(value):
+    with pytest.raises(OutOfRange):
+        Channel(AB, ("h1", "h0"), ((value, 0.5), (1.0 - value, 0.5)))
 
 
 class TestGpsCep:

@@ -67,6 +67,12 @@ class TestUnknownLabels:
             Tabular(AB, (0.7, 0.2)).values(Alphabet(("x", "y")))
 
 
+@pytest.mark.parametrize("value", [1.5, -0.25])
+def test_tabular_value_outside_unit_interval_is_out_of_range(value):
+    with pytest.raises(OutOfRange):
+        Tabular(AB, (value, 0.5))
+
+
 class TestGaussianErrors:
     @pytest.mark.parametrize("label", ["nope", ["a"]], ids=["unknown", "unhashable"])
     def test_label_without_position(self, label):
