@@ -71,7 +71,7 @@ def _read_pairs(path: str, header: str):
                 if len(row) != 2:
                     raise ParseError(f"{path}: expected '{header}' rows, got {row}")
                 yield row
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
@@ -158,8 +158,11 @@ def _emit(record: dict, fmt: str, out_path: str | None) -> None:
             lines.append(f"warning: {warning}")
         text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {out_path}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -324,10 +327,10 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         record = {"command": args.command, "inputs": {}, "outputs": {}, "warnings": []}
         status = commands[args.command](args, record)
+        _emit(record, args.format, args.out)
     except SemcalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    _emit(record, args.format, args.out)
     return status
 
 

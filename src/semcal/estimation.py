@@ -1,10 +1,11 @@
 """Maximum semantic information estimation.
 
 Derives optimal truth functions by max-normalizing selecting-rule rows of a
-Shannon channel, optimizes a scalar degree of belief by golden-section
-search (the objective is unimodal on each sign branch), and fits the
-1-D position-estimator deviation model by coordinate search on the
-semantic mutual information.
+Shannon channel, optimizes a scalar degree of belief by a line search on
+one sign branch (the objective is unimodal on each), and fits the 1-D
+position-estimator deviation model by coordinate search on the semantic
+mutual information.  Every one-dimensional maximization is ``_line_max``:
+Brent's method, golden-section steps plus parabolic interpolation.
 
 numpy is imported inside the position-model functions, not at module
 load: it is the bulk of ``import semcal``, and only these functions use it.
@@ -38,7 +39,12 @@ from .truth_functions import Tabular, TruthFunction, belief_adjust
 if TYPE_CHECKING:
     import numpy as np
 
-GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
+#: Fraction of the longer side of the bracket that a golden-section step covers.
+GOLDEN_SECTION = (3.0 - math.sqrt(5.0)) / 2.0
+
+#: Belief candidates whose information is within this many bits of the best
+#: one tie; the tie goes to the smallest |b|, so rounding never decides it.
+TIE_BITS = 1e-12
 
 
 def empirical_conditional(samples: SampleSet, condition_subset) -> Distribution:
@@ -70,33 +76,85 @@ def optimal_truth_function(channel: Channel, j: int) -> TruthFunction:
     return Tabular(channel.alphabet, tuple(v / peak for v in row))
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-9) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal f on [lo, hi]."""
+def _line_max(f, lo: float, hi: float, tol: float = 1e-9) -> tuple[float, float]:
+    """Maximize f on [lo, hi] by Brent's method (Brent 1973, ch. 5).
+
+    Each step jumps to the vertex of the parabola through the three best
+    points so far.  It takes a golden-section step instead when that jump is
+    unsafe: the vertex leaves the bracket, the steps stop halving, or one of
+    the three values is not finite (such as -inf at a falsified b = 1).
+    f is only evaluated strictly inside (lo, hi), and never within tol/4 of
+    the best point so far.  Returns (x, f(x)) for the best point found.  The
+    final bracket around x is at most tol wide; when f is unimodal it holds
+    the maximizer.
+    """
+    min_step = tol / 4.0
     a, b = lo, hi
-    x1 = b - GOLDEN_RATIO * (b - a)
-    x2 = a + GOLDEN_RATIO * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN_RATIO * (b - a)
-            f2 = f(x2)
+    x = w = v = a + GOLDEN_SECTION * (b - a)
+    fx = fw = fv = f(x)
+    step = previous = 0.0
+    while max(x - a, b - x) > 2.0 * min_step:
+        mid = 0.5 * (a + b)
+        golden = True
+        if abs(previous) > min_step and math.isfinite(fx + fw + fv):
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # accept the vertex x + p/q if it lies inside the bracket and the
+            # step is under half the step before last
+            if abs(p) < abs(0.5 * q * previous) and q * (a - x) < p < q * (b - x):
+                golden = False
+                previous, step = step, p / q
+                if x + step - a < 2.0 * min_step or b - (x + step) < 2.0 * min_step:
+                    step = math.copysign(min_step, mid - x)
+        if golden:
+            previous = (a - x) if x >= mid else (b - x)
+            step = GOLDEN_SECTION * previous
+        u = x + (step if abs(step) >= min_step else math.copysign(min_step, step))
+        fu = f(u)
+        if fu >= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, w, x = w, x, u
+            fv, fw, fx = fw, fx, fu
         else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN_RATIO * (b - a)
-            f1 = f(x1)
-    x = (a + b) / 2.0
-    return x, f(x)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, w = w, u
+                fv, fw = fw, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def optimize_belief(base_tf: TruthFunction, prior: Distribution,
                     sampling: Distribution) -> DocResult:
     """Degree of confirmation of a general (possibly fuzzy) hypothesis.
 
-    Maximizes the average semantic information of the belief-adjusted
-    hypothesis over b in [-1, 1], searching each sign branch separately and
-    breaking exact ties toward b = 0 (the tautology, information 0).  The
-    base is evaluated once; each belief is an affine map of that vector.
+    Maximizes the average semantic information f(b) of the belief-adjusted
+    hypothesis over b in [-1, 1].  The base is evaluated once; each belief
+    is an affine map of that vector.
+
+    Branch rule: both one-sided slopes at b = 0 equal
+    (E_Q[t] - E_P[t]) / ln 2 for the base truth vector t, sampling Q and
+    prior P.  By Jensen's inequality f stays below 0 bits on the branch it
+    falls into from 0, so only the branch it rises into is searched ([0, 1]
+    for a positive slope, [-1, 0] for a negative one; both when the slope is
+    exactly 0).  The candidates are that search, b = 0 (the tautology,
+    0 bits) and b = +-1.
+
+    Tie rule: candidates within ``TIE_BITS`` of the best one tie, and the tie
+    goes to the smallest |b|.  So evidence that carries no information
+    (sampling equal to the prior) gives b* = 0.0 exactly.
     """
     base = Tabular(prior.alphabet, base_tf.values(prior.alphabet))
     if max(base.table) <= 0:
@@ -105,14 +163,20 @@ def optimize_belief(base_tf: TruthFunction, prior: Distribution,
     def objective(b: float) -> float:
         return average_semantic_info(belief_adjust(base, b), prior, sampling)
 
+    slope = math.fsum((q - p) * t for q, p, t in zip(sampling.probs, prior.probs, base.table))
+    if slope > 0.0:
+        branches = [(0.0, 1.0)]
+    elif slope < 0.0:
+        branches = [(-1.0, 0.0)]
+    else:
+        branches = [(0.0, 1.0), (-1.0, 0.0)]
     candidates = [(0.0, 0.0)]
-    for lo, hi in ((0.0, 1.0), (-1.0, 0.0)):
-        x, fx = _golden_max(objective, lo, hi)
-        candidates.append((x, fx))
-    for endpoint in (1.0, -1.0):
-        candidates.append((endpoint, objective(endpoint)))
+    candidates += [_line_max(objective, lo, hi) for lo, hi in branches]
+    candidates += [(endpoint, objective(endpoint)) for endpoint in (1.0, -1.0)]
 
-    best_b, best_f = max(candidates, key=lambda c: (c[1], -abs(c[0])))
+    top = max(fx for _, fx in candidates)
+    best_b, best_f = min((c for c in candidates if c[1] >= top - TIE_BITS),
+                         key=lambda c: abs(c[0]))
     case = DocCase.PROPER_AFFIRMATION if best_b >= 0 else DocCase.EXCESSIVE_AFFIRMATION
     return DocResult(b_star=best_b, b_prime_star=1.0 - abs(best_b),
                      case=case, information_bits=best_f)
@@ -252,7 +316,7 @@ def gps_fit(observed: np.ndarray, d_range: tuple[float, float] | None = None
 
     Reduces the channel to its lag distribution once (O(m^2)); every
     objective evaluation after that is O(m).  The integer shift is the lag
-    with the most mass; then five passes each run a golden-section search on
+    with the most mass; then five passes each run a Brent line search on
     the spread d and then on the belief b, and the shift is refined
     continuously before the fifth.  Returns (delta_hat, d_hat, b_hat).
 
@@ -281,10 +345,10 @@ def gps_fit(observed: np.ndarray, d_range: tuple[float, float] | None = None
     b_hat = 0.9
     for fit_pass in range(5):
         if fit_pass == 4:
-            delta, _ = _golden_max(lambda s: gps_objective(lags, s, d_hat, b_hat),
-                                   delta - 1.0, delta + 1.0, tol=1e-6)
-        d_hat, _ = _golden_max(lambda d: gps_objective(lags, delta, d, b_hat),
-                               d_range[0], d_range[1], tol=1e-6)
-        b_hat, _ = _golden_max(lambda b: gps_objective(lags, delta, d_hat, b),
-                               0.0, 1.0 - 1e-9, tol=1e-9)
+            delta, _ = _line_max(lambda s: gps_objective(lags, s, d_hat, b_hat),
+                                 delta - 1.0, delta + 1.0, tol=1e-6)
+        d_hat, _ = _line_max(lambda d: gps_objective(lags, delta, d, b_hat),
+                             d_range[0], d_range[1], tol=1e-6)
+        b_hat, _ = _line_max(lambda b: gps_objective(lags, delta, d_hat, b),
+                             0.0, 1.0 - 1e-9, tol=1e-9)
     return delta, d_hat, b_hat

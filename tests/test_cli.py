@@ -176,6 +176,14 @@ class TestDocCommand:
         assert status == 0
         assert json.loads(out.read_text())["command"] == "doc"
 
+    def test_out_file_in_missing_directory(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "report.json"
+        status = main(["doc", "--table", "1,2,3,4", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+
 
 class TestInfoCommand:
     def test_tautology_average_zero(self, capsys, swans_files):
@@ -284,6 +292,14 @@ class TestReadPairs:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read"):
             list(_read_pairs(str(tmp_path / "missing.csv"), "condition,label"))
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"h1,\xff\n")
+        with pytest.raises(ParseError, match="cannot read"):
+            list(_read_pairs(str(path), "condition,label"))
+        assert main(["msie", "--samples", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
 
 class TestReproduceCommand:

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from semcal import (
     Alphabet,
@@ -32,6 +32,8 @@ from semcal import (
 )
 from fractions import Fraction
 
+from semcal import estimation
+from semcal.estimation import _line_max
 from semcal.errors import (
     AlphabetMismatch,
     BeliefOutOfRange,
@@ -155,6 +157,176 @@ class TestOptimizeBelief:
         with pytest.raises(DegenerateInput):
             optimize_belief(Tabular(AB, (0.0, 0.0)), prior, prior)
 
+    def test_objective_calls_at_n64(self, monkeypatch):
+        calls = count_calls(monkeypatch, "average_semantic_info")
+        rng = random.Random(31)
+        ab = Alphabet([f"x{i}" for i in range(64)])
+        for _ in range(5):
+            prior = Distribution(ab, normalized([rng.uniform(0.01, 1.0) for _ in range(64)]))
+            sampling = Distribution(ab, normalized([rng.uniform(0.01, 1.0) for _ in range(64)]))
+            for base in (Crisp(ab, rng.sample(ab.labels, 8)),
+                         Tabular(ab, [rng.uniform(0.0, 1.0) for _ in range(64)])):
+                calls.clear()
+                optimize_belief(base, prior, sampling)
+                assert 0 < len(calls) <= 40
+
+
+def normalized(weights):
+    total = math.fsum(weights)
+    return [w / total for w in weights]
+
+
+def count_calls(monkeypatch, name):
+    """Wrap the module global ``estimation.<name>``; returns the list of its calls."""
+    calls = []
+    original = getattr(estimation, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(estimation, name, counted)
+    return calls
+
+
+@st.composite
+def belief_problems(draw, kind):
+    """(base, prior, sampling) on 2-12 labels with strictly positive masses.
+
+    A crisp base holds a proper, non-empty subset of the labels.
+    """
+    n = draw(st.integers(2, 12))
+    ab = Alphabet([f"x{i}" for i in range(n)])
+    masses = st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)
+    prior = Distribution(ab, normalized(draw(masses)))
+    sampling = Distribution(ab, normalized(draw(masses)))
+    if kind == "crisp":
+        size = draw(st.integers(1, n - 1))
+        base = Crisp(ab, draw(st.permutations(ab.labels))[:size])
+    else:
+        table = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+        assume(max(table) >= 0.01)
+        base = Tabular(ab, table)
+    return base, prior, sampling
+
+
+def with_slope_sign(base, prior, sampling, sign):
+    """Order (prior, sampling) so that E_Q[t] - E_P[t] has the given sign.
+
+    Swapping the two distributions flips the sign of that slope at b = 0.
+    """
+    t = base.values(prior.alphabet)
+    slope = math.fsum((q - p) * v for q, p, v in zip(sampling.probs, prior.probs, t))
+    assume(slope != 0.0)
+    return (prior, sampling) if (slope > 0) == (sign > 0) else (sampling, prior)
+
+
+def grid_information(table, prior, sampling, points=20001):
+    """Average semantic information at every b of a dense grid on [-1, 1]."""
+    c = np.array(table)
+    p = np.array(prior.probs)
+    q = np.array(sampling.probs)
+    b = np.linspace(-1.0, 1.0, points)[:, None]
+    truth = np.where(b >= 0, 1.0 - b + b * c, 1.0 + b * c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        info = (q * np.log2(truth)).sum(axis=1) - np.log2(truth @ p)
+    return info[np.isfinite(info)]
+
+
+class TestOptimizeBeliefProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(problem=st.one_of(belief_problems("crisp"), belief_problems("tabular")))
+    def test_uninformative_evidence_gives_exactly_zero(self, problem):
+        # sampling == prior: by Jensen no belief carries positive information
+        base, prior, _ = problem
+        r = optimize_belief(base, prior, prior)
+        assert r.b_star == 0.0
+        assert r.b_prime_star == 1.0
+        assert r.information_bits == 0.0
+        assert r.case is DocCase.PROPER_AFFIRMATION
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=belief_problems("crisp"), sign=st.sampled_from([1, -1]))
+    def test_crisp_matches_two_mass_closed_form(self, problem, sign):
+        # a crisp hypothesis on n labels only sees the masses P(S), Q(S) of its set
+        base, prior, sampling = problem
+        prior, sampling = with_slope_sign(base, prior, sampling, sign)
+        p1 = math.fsum(p for p, t in zip(prior.probs, base.values(prior.alphabet)) if t)
+        q1 = math.fsum(q for q, t in zip(sampling.probs, base.values(prior.alphabet)) if t)
+        closed = doc_from_rates(RateSpec(prior=(1.0 - p1, p1), posterior=(1.0 - q1, q1)))
+        numeric = optimize_belief(base, prior, sampling)
+        assert numeric.b_star == pytest.approx(closed.b_star, abs=1e-3)
+        assert numeric.information_bits == pytest.approx(closed.information_bits, abs=1e-6)
+        assert (numeric.b_star > 0) == (sign > 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=belief_problems("tabular"), sign=st.sampled_from([1, -1]))
+    def test_tabular_reaches_grid_maximum(self, problem, sign):
+        base, prior, sampling = problem
+        prior, sampling = with_slope_sign(base, prior, sampling, sign)
+        numeric = optimize_belief(base, prior, sampling)
+        assert -1.0 <= numeric.b_star <= 1.0
+        assert numeric.information_bits >= grid_information(
+            base.table, prior, sampling).max() - 1e-9
+
+
+def traced(f):
+    """f and the list of the points it is evaluated at."""
+    points = []
+
+    def g(x):
+        points.append(x)
+        return f(x)
+
+    return g, points
+
+
+def falsified_past(x):
+    """-inf on (0.6, 1], as the belief objective is at b = 1 after a counterexample."""
+    return float("-inf") if x > 0.6 else -((x - 0.55) ** 2)
+
+
+# name: (f, lo, hi, argmax or None where every point is a maximizer)
+LINE_CASES = {
+    "interior_parabola": (lambda x: -((x - 0.3) ** 2), 0.0, 1.0, 0.3),
+    "max_at_lo": (lambda x: -x, 0.0, 1.0, 0.0),
+    "max_at_hi": (lambda x: x, -1.0, 0.0, 0.0),
+    "minus_inf_at_hi": (falsified_past, 0.0, 1.0, 0.55),
+    "flat": (lambda x: 0.0, 2.0, 50.0, None),
+}
+
+
+class TestLineMax:
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    @pytest.mark.parametrize("name", sorted(LINE_CASES))
+    def test_contract(self, name, tol):
+        f, lo, hi, argmax = LINE_CASES[name]
+        g, points = traced(f)
+        x, fx = _line_max(g, lo, hi, tol=tol)
+        assert all(lo < u < hi for u in points)
+        assert x in points and fx == f(x)
+        # the evaluations certify a bracket around x at most tol wide
+        left = max([lo] + [u for u in points if u < x])
+        right = min([hi] + [u for u in points if u > x])
+        assert right - left <= tol
+        if argmax is not None:
+            assert abs(x - argmax) <= tol
+
+    def test_parabola_takes_few_evaluations(self):
+        g, points = traced(LINE_CASES["interior_parabola"][0])
+        _line_max(g, 0.0, 1.0, tol=1e-9)
+        assert len(points) <= 12
+
+    @settings(max_examples=200, deadline=None)
+    @given(peak=st.floats(0.0, 1.0), power=st.floats(0.5, 4.0),
+           lo=st.floats(-5.0, 0.0), width=st.floats(0.01, 10.0))
+    def test_unimodal_peak_found(self, peak, power, lo, width):
+        hi = lo + width
+        c = lo + peak * width
+        x, fx = _line_max(lambda u: -abs(u - c) ** power, lo, hi, tol=1e-9)
+        assert lo < x < hi
+        assert abs(x - c) <= 1e-9
+
 
 class TestChannelFromSamples:
     def test_birds_selecting_rule(self):
@@ -255,6 +427,12 @@ class TestGpsFit:
         a = gps_objective(observed, 2.0, 4.0, 0.8)
         b = gps_objective(shifted, 2.0, 4.0, 0.8)
         assert a == pytest.approx(b, abs=1e-9)
+
+    def test_objective_calls_at_m200(self, monkeypatch):
+        calls = count_calls(monkeypatch, "gps_objective")
+        model = GpsModel(grid_size=200, delta_e=3, d=6.0, c=0.001)
+        gps_fit(model.channel_matrix())
+        assert 0 < len(calls) <= 250
 
     def test_too_coarse(self):
         with pytest.raises(GridTooCoarse):
