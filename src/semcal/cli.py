@@ -9,6 +9,15 @@ All numeric logic lives in the core modules; this layer only parses,
 dispatches, and formats.  Exit codes: 0 success, 1 usage, parse or
 validation error, 2 mathematical degeneracy.  Machine output is JSON with fixed key order;
 negative infinity is emitted as the literal token "-inf".
+
+Only the modules ``doc`` needs (``confirmation``, ``distributions``,
+``errors``) are imported at load time.  The other commands import their
+modules when they run: each process runs one command, and compiling and
+executing the modules it does not use (the belief searches, the position
+model, ``fractions``) would add about a fifth to the wall time of a
+``semcal doc`` process.  Calls into ``estimation`` and ``reproduce`` go through the module
+attribute, so a wrapper set on that attribute (a timer, a call counter)
+sees them.
 """
 
 from __future__ import annotations
@@ -18,8 +27,8 @@ import csv
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
-from . import reproduce as reproduce_mod
 from .confirmation import (
     ContingencyTable,
     DocResult,
@@ -32,16 +41,9 @@ from .confirmation import (
 )
 from .distributions import Alphabet, Distribution
 from .errors import ParseError, SemcalError
-from .estimation import (
-    channel_from_samples,
-    empirical_conditional,
-    gps_fit,
-    optimal_truth_function,
-    optimize_belief,
-)
-from .estimation_types import GpsModel, SampleSet
-from .semantic_info import average_semantic_info, gkl_decomposition, pointwise_semantic_info
-from .truth_functions import Crisp, Gaussian, Tabular, belief_adjust
+
+if TYPE_CHECKING:
+    from .estimation_types import SampleSet
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,6 +89,8 @@ def _read_distribution(path: str) -> Distribution:
 
 
 def _read_samples(path: str) -> SampleSet:
+    from .estimation_types import SampleSet
+
     records = [(c.strip(), e.strip()) for c, e in _read_pairs(path, "condition,label")]
     if not records:
         raise ParseError(f"{path}: no sample records")
@@ -95,6 +99,8 @@ def _read_samples(path: str) -> SampleSet:
 
 def _parse_tf(spec: str, alphabet: Alphabet):
     """crisp:a|b, gauss:center,stddev, table:v1,v2,..., belief:b:<inner>"""
+    from .truth_functions import Crisp, Gaussian, Tabular, belief_adjust
+
     kind, _, rest = spec.partition(":")
     if kind == "crisp":
         members = [m for m in rest.split("|") if m]
@@ -212,6 +218,8 @@ def cmd_doc(args, record: dict) -> int:
 
 
 def cmd_info(args, record: dict) -> int:
+    from .semantic_info import average_semantic_info, gkl_decomposition, pointwise_semantic_info
+
     prior = _read_distribution(args.prior)
     sampling = _read_distribution(args.sampling)
     tf = _parse_tf(args.tf, prior.alphabet)
@@ -226,6 +234,10 @@ def cmd_info(args, record: dict) -> int:
 
 
 def cmd_msie(args, record: dict) -> int:
+    from . import estimation
+    from .estimation_types import GpsModel
+    from .truth_functions import Crisp
+
     if bool(args.samples) == bool(args.gps):
         raise ParseError("exactly one of --samples, --gps is required")
     inputs, outputs = record["inputs"], record["outputs"]
@@ -243,22 +255,23 @@ def cmd_msie(args, record: dict) -> int:
         except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise ParseError(f"bad scenario file {args.gps}: {exc}") from None
         inputs["gps"] = scenario
-        outputs["delta_e_hat"], outputs["d_hat"], outputs["b_hat"] = gps_fit(
+        outputs["delta_e_hat"], outputs["d_hat"], outputs["b_hat"] = estimation.gps_fit(
             model.channel_matrix())
         outputs["b_reference"] = model.reference_belief
         return 0
 
     samples = _read_samples(args.samples)
     prior = _read_distribution(args.prior) if args.prior else None
-    channel, prior = channel_from_samples(samples, prior)
+    channel, prior = estimation.channel_from_samples(samples, prior)
     inputs["samples"] = args.samples
     inputs["records"] = len(samples)
     for j, name in enumerate(channel.hypotheses):
-        tf = optimal_truth_function(channel, j)
+        tf = estimation.optimal_truth_function(channel, j)
         peak_label = channel.alphabet.labels[max(
             range(len(tf.table)), key=lambda i: tf.table[i])]
-        sampling = empirical_conditional(samples, {name})
-        result = optimize_belief(Crisp(channel.alphabet, {peak_label}), prior, sampling)
+        sampling = estimation.empirical_conditional(samples, {name})
+        result = estimation.optimize_belief(Crisp(channel.alphabet, {peak_label}), prior,
+                                            sampling)
         outputs[name] = {
             **{f"truth[{label}]": v for label, v in zip(channel.alphabet, tf.table)},
             **_doc_fields(result),
@@ -267,7 +280,9 @@ def cmd_msie(args, record: dict) -> int:
 
 
 def cmd_reproduce(args, record: dict) -> int:
-    rows = reproduce_mod.reproduce_rows()
+    from . import reproduce
+
+    rows = reproduce.reproduce_rows()
     for row in rows:
         key = f"{row['item']}.{row['quantity']}"
         record["outputs"][key] = {
@@ -280,7 +295,7 @@ def cmd_reproduce(args, record: dict) -> int:
             record["warnings"].append(
                 f"{key}: published {row['published']} vs computed "
                 f"{_fmt_scalar(row['computed'])} (documented discrepancy)")
-    return 0 if reproduce_mod.reproduce_ok(rows) else 2
+    return 0 if reproduce.reproduce_ok(rows) else 2
 
 
 def build_parser() -> argparse.ArgumentParser:

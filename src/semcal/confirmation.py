@@ -20,13 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .distributions import Alphabet, Distribution, bayes_invert, kl_divergence, require_finite
 from .errors import (
     DegenerateRates,
     EmptyColumn,
     EmptyRow,
+    IndexMismatch,
     NegativeMass,
     NotNormalized,
     OutOfRange,
@@ -34,6 +35,9 @@ from .errors import (
     ZeroDenominator,
     ZeroSensitivity,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class DocCase(str, Enum):
@@ -45,10 +49,14 @@ class DocCase(str, Enum):
 
 @dataclass(frozen=True)
 class DocResult:
-    """An optimized degree of belief and the information it achieves."""
+    """An optimized degree of belief and the information it achieves.
 
-    b_star: float
-    b_prime_star: float
+    ``b_star`` and ``b_prime_star`` are ``Fraction`` when the rates were
+    (as from ``gps_cep_doc``), so exact inputs give exact beliefs.
+    """
+
+    b_star: float | Fraction
+    b_prime_star: float | Fraction
     case: DocCase
     information_bits: Optional[float] = None
 
@@ -63,7 +71,7 @@ class RateSpec:
     def __post_init__(self):
         for name, pair in (("prior", self.prior), ("posterior", self.posterior)):
             if len(pair) != 2:
-                raise NotNormalized(f"{name} must be a pair, got {pair}")
+                raise IndexMismatch(f"{name} must be a pair, got {pair}")
             require_finite(name, pair)
             if any(v < 0 for v in pair):
                 raise NegativeMass(f"{name} pair has negative mass: {pair}")

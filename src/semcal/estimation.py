@@ -150,7 +150,8 @@ def optimize_belief(base_tf: TruthFunction, prior: Distribution,
     falls into from 0, so only the branch it rises into is searched ([0, 1]
     for a positive slope, [-1, 0] for a negative one; both when the slope is
     exactly 0).  The candidates are that search, b = 0 (the tautology,
-    0 bits) and b = +-1.
+    0 bits) and the end of the searched branch, b = 1 or b = -1; the end
+    of the falling branch is below 0 bits too, so it is not evaluated.
 
     Tie rule: candidates within ``TIE_BITS`` of the best one tie, and the tie
     goes to the smallest |b|.  So evidence that carries no information
@@ -165,14 +166,14 @@ def optimize_belief(base_tf: TruthFunction, prior: Distribution,
 
     slope = math.fsum((q - p) * t for q, p, t in zip(sampling.probs, prior.probs, base.table))
     if slope > 0.0:
-        branches = [(0.0, 1.0)]
+        ends = (1.0,)
     elif slope < 0.0:
-        branches = [(-1.0, 0.0)]
+        ends = (-1.0,)
     else:
-        branches = [(0.0, 1.0), (-1.0, 0.0)]
+        ends = (1.0, -1.0)
     candidates = [(0.0, 0.0)]
-    candidates += [_line_max(objective, lo, hi) for lo, hi in branches]
-    candidates += [(endpoint, objective(endpoint)) for endpoint in (1.0, -1.0)]
+    candidates += [_line_max(objective, min(0.0, end), max(0.0, end)) for end in ends]
+    candidates += [(end, objective(end)) for end in ends]
 
     top = max(fx for _, fx in candidates)
     best_b, best_f = min((c for c in candidates if c[1] >= top - TIE_BITS),

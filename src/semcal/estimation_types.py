@@ -16,6 +16,7 @@ from .distributions import NORMALIZATION_TOLERANCE, Alphabet, require_finite
 from .errors import (
     DegenerateGeometry,
     GridTooCoarse,
+    IndexMismatch,
     NegativeMass,
     NotNormalized,
     OutOfRange,
@@ -46,11 +47,11 @@ class Channel:
             raise NotNormalized(f"duplicate hypothesis names: {hypotheses}")
         rows = tuple(tuple(float(v) for v in row) for row in matrix)
         if len(rows) != len(hypotheses):
-            raise NotNormalized(
+            raise IndexMismatch(
                 f"{len(rows)} rows for {len(hypotheses)} hypotheses")
         for row in rows:
             if len(row) != len(alphabet):
-                raise NotNormalized(
+                raise IndexMismatch(
                     f"row length {len(row)} != alphabet size {len(alphabet)}")
             require_finite("channel values", row)
             if any(v < 0 or v > 1 for v in row):
@@ -131,7 +132,7 @@ class GpsModel:
         if self.c < 0:
             raise NegativeMass(f"long-tail floor must be >= 0, got {self.c}")
         if self.grid_size * self.c >= 1.0:
-            raise NotNormalized(
+            raise OutOfRange(
                 f"floor mass {self.grid_size * self.c} leaves no room for the peak")
 
     def _gaussian_profile(self) -> np.ndarray:

@@ -14,6 +14,7 @@ value identically zero) carries zero information by the 0/0 convention.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 from .distributions import (
     Distribution,
@@ -23,8 +24,10 @@ from .distributions import (
     kl_divergence,
 )
 from .errors import AlphabetMismatch, IndexMismatch
-from .estimation_types import Channel
 from .truth_functions import TruthFunction, semantic_bayes, truth_and_logical_probability
+
+if TYPE_CHECKING:
+    from .estimation_types import Channel
 
 
 def pointwise_semantic_info(tf: TruthFunction, prior: Distribution, e) -> float:

@@ -41,6 +41,7 @@ from semcal.errors import (
     DegenerateInput,
     EmptyConditionSubset,
     GridTooCoarse,
+    IndexMismatch,
     NegativeMass,
     NonFinite,
     NotNormalized,
@@ -170,6 +171,26 @@ class TestOptimizeBelief:
                 optimize_belief(base, prior, sampling)
                 assert 0 < len(calls) <= 40
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_falling_branch_end_is_not_evaluated(self, monkeypatch, sign):
+        # by Jensen the end of the branch f falls into from b = 0 is below 0 bits
+        calls = count_calls(monkeypatch, "average_semantic_info")
+        rng = random.Random(37)
+        for n in (2, 3, 8, 64):
+            ab = Alphabet([f"x{i}" for i in range(n)])
+            for _ in range(5):
+                prior = Distribution(ab, normalized([rng.uniform(0.01, 1.0) for _ in range(n)]))
+                sampling = Distribution(ab, normalized([rng.uniform(0.01, 1.0) for _ in range(n)]))
+                for base in (Crisp(ab, rng.sample(ab.labels, max(1, n // 4))),
+                             Tabular(ab, [rng.uniform(0.0, 1.0) for _ in range(n)])):
+                    slope = slope_at_zero(base, prior, sampling)
+                    p, q = (prior, sampling) if (slope > 0) == (sign > 0) else (sampling, prior)
+                    calls.clear()
+                    optimize_belief(base, p, q)
+                    beliefs = [tf.belief for tf, _, _ in calls]
+                    assert float(sign) in beliefs
+                    assert float(-sign) not in beliefs
+
 
 def normalized(weights):
     total = math.fsum(weights)
@@ -210,13 +231,18 @@ def belief_problems(draw, kind):
     return base, prior, sampling
 
 
+def slope_at_zero(base, prior, sampling):
+    """E_Q[t] - E_P[t]: ln 2 times the slope of the belief objective at b = 0."""
+    t = base.values(prior.alphabet)
+    return math.fsum((q - p) * v for q, p, v in zip(sampling.probs, prior.probs, t))
+
+
 def with_slope_sign(base, prior, sampling, sign):
     """Order (prior, sampling) so that E_Q[t] - E_P[t] has the given sign.
 
     Swapping the two distributions flips the sign of that slope at b = 0.
     """
-    t = base.values(prior.alphabet)
-    slope = math.fsum((q - p) * v for q, p, v in zip(sampling.probs, prior.probs, t))
+    slope = slope_at_zero(base, prior, sampling)
     assume(slope != 0.0)
     return (prior, sampling) if (slope > 0) == (sign > 0) else (sampling, prior)
 
@@ -363,6 +389,26 @@ class TestChannelFromSamples:
 def test_channel_value_outside_unit_interval_is_out_of_range(value):
     with pytest.raises(OutOfRange):
         Channel(AB, ("h1", "h0"), ((value, 0.5), (1.0 - value, 0.5)))
+
+
+# name: (constructor call, error); shape errors are IndexMismatch, range errors OutOfRange
+MISUSE_CASES = {
+    "channel-row-count": (lambda: Channel(AB, ("h1", "h0"), ((1.0, 1.0),)), IndexMismatch),
+    "channel-row-length": (lambda: Channel(AB, ("h1",), ((1.0,),)), IndexMismatch),
+    "rates-prior-not-a-pair": (lambda: RateSpec(prior=(0.2, 0.3, 0.5), posterior=(0.5, 0.5)),
+                               IndexMismatch),
+    "rates-posterior-not-a-pair": (lambda: RateSpec(prior=(0.5, 0.5), posterior=(1.0,)),
+                                   IndexMismatch),
+    "gps-floor-fills-grid": (lambda: GpsModel(grid_size=50, delta_e=0.0, d=5.0, c=0.02),
+                             OutOfRange),
+}
+
+
+@pytest.mark.parametrize("build, error", MISUSE_CASES.values(), ids=MISUSE_CASES.keys())
+def test_shape_and_range_misuse_error_class(build, error):
+    with pytest.raises(error) as info:
+        build()
+    assert info.value.exit_code == 1
 
 
 class TestGpsCep:

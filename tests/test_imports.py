@@ -1,18 +1,24 @@
-"""numpy is loaded only on the position-estimator path.
+"""Each command loads only the modules it runs.
 
-numpy is most of the time ``import semcal`` takes, and only the position
-model (``GpsModel``, ``lag_distribution``, ``gps_objective``, ``gps_fit``)
-uses it.  Each case runs in a fresh interpreter, because this test process
-has numpy loaded already.
+``import semcal`` loads no submodule: the package resolves its exports on
+first use.  numpy would be most of the time the whole package takes to
+import, and only the position model (``GpsModel``, ``lag_distribution``,
+``gps_objective``, ``gps_fit``) uses it.  ``semcal doc`` loads neither the belief searches nor
+``fractions``.  Each load check runs in a fresh interpreter, because this
+test process has everything loaded already.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import semcal
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -25,13 +31,18 @@ print(json.dumps({"before": before, "status": status, "after": "numpy" in sys.mo
 """
 
 
-def run_fresh(argv, out):
+def fresh_python(*args):
+    """The last stdout line, as JSON, of ``python *args`` with this checkout's semcal."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, *argv, "--out", str(out)], env=env,
+    proc = subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def run_fresh(argv, out, script=SCRIPT):
+    return fresh_python("-c", script, *argv, "--out", str(out))
 
 
 @pytest.fixture
@@ -65,3 +76,75 @@ def test_command_leaves_numpy_unloaded(files, argv):
 def test_gps_fit_loads_numpy(files):
     result = run_fresh(["msie", "--gps", str(files / "gps.json")], files / "report.txt")
     assert result == {"before": False, "status": 0, "after": True}
+
+
+LOADED_SCRIPT = """
+import json, sys
+import semcal.cli
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.partition(".")[0] == "semcal" or m in ("fractions", "numpy"))
+before = loaded()
+status = semcal.cli.main(sys.argv[1:])
+print(json.dumps({"before": before, "status": status, "after": loaded()}))
+"""
+
+SHELL = ["semcal", "semcal.cli", "semcal.confirmation", "semcal.distributions", "semcal.errors"]
+INFO = [*SHELL, "semcal.semantic_info", "semcal.truth_functions"]
+SEARCHES = [*INFO, "fractions", "semcal.estimation", "semcal.estimation_types"]
+
+# name: (argv, exit status, what the command leaves loaded among semcal.*, fractions, numpy)
+LOADS = {
+    "doc-table": (NUMPY_FREE["doc-table"], 0, SHELL),
+    "doc-rates": (NUMPY_FREE["doc-rates"], 0, SHELL),
+    "doc-test": (NUMPY_FREE["doc-test"], 0, SHELL),
+    "doc-malformed": (["doc", "--table", "1,2"], 1, SHELL),
+    "doc-empty-row": (["doc", "--table", "0,5,0,5"], 2, SHELL),
+    "info": (NUMPY_FREE["info"], 0, INFO),
+    "msie-samples": (NUMPY_FREE["msie-samples"], 0, SEARCHES),
+    "msie-gps": (["msie", "--gps", "{dir}/gps.json"], 0, [*SEARCHES, "numpy"]),
+    "reproduce": (["reproduce"], 0, [*SEARCHES, "semcal.reproduce"]),
+}
+
+
+@pytest.mark.parametrize("argv, status, loaded", LOADS.values(), ids=LOADS.keys())
+def test_command_loads_only_its_modules(files, argv, status, loaded):
+    result = run_fresh([a.format(dir=files) for a in argv], files / "report.txt",
+                       script=LOADED_SCRIPT)
+    assert result == {"before": SHELL, "status": status, "after": sorted(loaded)}
+
+
+def test_bare_import_loads_no_submodule():
+    code = ("import json, sys, semcal; print(json.dumps(sorted(m for m in sys.modules if "
+            "m.partition('.')[0] == 'semcal' or m in ('fractions', 'numpy'))))")
+    assert fresh_python("-c", code) == ["semcal"]
+
+
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(semcal.__path__) if m.name != "__main__")
+
+
+# The package's __getattr__ is called directly: in this process every submodule
+# is loaded already, so plain attribute access would not reach it.
+def test_every_submodule_resolves():
+    for name in SUBMODULES:
+        assert semcal.__getattr__(name) is importlib.import_module(f"semcal.{name}"), name
+
+
+def test_every_export_resolves_to_its_definition():
+    for name in semcal.__all__:
+        value = semcal.__getattr__(name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+        assert getattr(semcal, name) is value, name
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(semcal, "no_such_name")
+    assert not hasattr(semcal, "__wrapped__")
+
+
+def test_star_import_and_dir_list_the_exports():
+    namespace = {}
+    exec("from semcal import *", namespace)
+    assert set(semcal.__all__) <= set(namespace)
+    assert set(semcal.__all__) | set(SUBMODULES) <= set(dir(semcal))
