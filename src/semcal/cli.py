@@ -261,8 +261,7 @@ def cmd_msie(args, record: dict) -> int:
         return 0
 
     samples = _read_samples(args.samples)
-    prior = _read_distribution(args.prior) if args.prior else None
-    channel, prior = estimation.channel_from_samples(samples, prior)
+    channel, prior = estimation.channel_from_samples(samples)
     inputs["samples"] = args.samples
     inputs["records"] = len(samples)
     for j, name in enumerate(channel.hypotheses):
@@ -326,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_msie = sub.add_parser("msie", help="estimate truth functions from samples")
     p_msie.add_argument("--samples", help="condition,label CSV")
-    p_msie.add_argument("--prior", help="optional label,probability CSV")
     p_msie.add_argument("--gps", help="JSON scenario: grid_size, delta_e, d, c")
     add_common(p_msie)
 

@@ -14,22 +14,22 @@ load: it is the bulk of ``import semcal``, and only these functions use it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .confirmation import DocCase, DocResult, doc_from_ratio
 from .distributions import NORMALIZATION_TOLERANCE, Distribution, require_finite
 from .errors import (
-    AlphabetMismatch,
     BeliefOutOfRange,
     DegenerateGeometry,
     DegenerateInput,
     EmptyConditionSubset,
-    GridTooCoarse,
     NegativeMass,
     NonFinite,
     NotNormalized,
     OutOfRange,
+    ZeroPrior,
     ZeroRow,
 )
 from .estimation_types import Channel, SampleSet, toroidal_offset
@@ -183,39 +183,33 @@ def optimize_belief(base_tf: TruthFunction, prior: Distribution,
                      case=case, information_bits=best_f)
 
 
-def channel_from_samples(samples: SampleSet,
-                         prior: Distribution | None = None) -> tuple[Channel, Distribution]:
+def channel_from_samples(samples: SampleSet) -> tuple[Channel, Distribution]:
     """Synthesize the selecting-rule channel P(H|E) from tagged samples.
 
-    Each distinct condition tag becomes a hypothesis; its row is
-    P(C_j) * P(e_i|C_j) / P(e_i).  With the empirical marginal as prior the
-    columns are exactly normalized.  A prior over the same labels in another
-    order is reordered to the samples' order.  Returns (channel, prior).
+    One pass over the records counts each (condition, label) pair.  Each
+    distinct condition becomes a hypothesis, in order of first appearance,
+    and its row is n(c, e)/n(e) = P(c) * P(e|c) / P(e).  The prior is the
+    sample marginal n(e)/N, the only prior under which every column sums
+    to 1.  Returns (channel, prior).
+
+    A label of the alphabet with no record leaves P(h|e) = 0/0 undefined
+    and raises ZeroPrior.
     """
-    conditions = samples.conditions()
-    if not conditions:
+    pairs = Counter(samples.records)
+    if not pairs:
         raise EmptyConditionSubset("sample set has no records")
     labels = samples.alphabet.labels
-    if prior is None:
-        prior = empirical_conditional(samples, conditions)
-    elif prior.alphabet.labels != labels:
-        if set(prior.alphabet.labels) != set(labels):
-            raise AlphabetMismatch(
-                f"prior labels {prior.alphabet.labels} differ from sample labels {labels}")
-        prior = Distribution(samples.alphabet, [prior[label] for label in labels])
-    share = {c: 0 for c in conditions}
-    for c, _ in samples.records:
-        share[c] += 1
+    label_counts = dict.fromkeys(labels, 0)
+    for (_, label), n in pairs.items():
+        label_counts[label] += n
+    for label, n in label_counts.items():
+        if n == 0:
+            raise ZeroPrior(f"label {label!r} has no records, so P(h|{label!r}) is 0/0")
+    conditions = tuple(dict.fromkeys(c for c, _ in pairs))
+    rows = [[pairs[c, label] / label_counts[label] for label in labels] for c in conditions]
     total = len(samples)
-    rows = []
-    for c in conditions:
-        cond_dist = empirical_conditional(samples, {c})
-        weight = share[c] / total
-        row = [min(1.0, weight * q / p) if p > 0 else 0.0
-               for q, p in zip(cond_dist.probs, prior.probs)]
-        rows.append(row)
-    channel = Channel(samples.alphabet, conditions, rows, tolerance=1e-6)
-    return channel, prior
+    prior = Distribution(samples.alphabet, [label_counts[label] / total for label in labels])
+    return Channel(samples.alphabet, conditions, rows), prior
 
 
 def gps_cep_doc(cep_fraction, in_circle_cells: int, total_cells: int) -> DocResult:
@@ -311,15 +305,15 @@ def gps_objective(observed: np.ndarray, delta: float, d: float, b: float) -> flo
     return float(lags[seen] @ log_truth - math.log2(truth.mean()) * lags.sum())
 
 
-def gps_fit(observed: np.ndarray, d_range: tuple[float, float] | None = None
-            ) -> tuple[float, float, float]:
+def gps_fit(observed: np.ndarray) -> tuple[float, float, float]:
     """Recover (delta_e, d, b) of the deviation model from an observed channel.
 
     Reduces the channel to its lag distribution once (O(m^2)); every
     objective evaluation after that is O(m).  The integer shift is the lag
     with the most mass; then five passes each run a Brent line search on
-    the spread d and then on the belief b, and the shift is refined
-    continuously before the fifth.  Returns (delta_hat, d_hat, b_hat).
+    the spread d over [2, m/4] grid steps and then on the belief b, and the
+    shift is refined continuously before the fifth.  Returns
+    (delta_hat, d_hat, b_hat).
 
     On grids of at least 200 cells whose true spread is at least 4 steps,
     the recovered shift is within one grid step of the true delta_e, the
@@ -332,24 +326,21 @@ def gps_fit(observed: np.ndarray, d_range: tuple[float, float] | None = None
     m = observed.shape[0]
     if observed.shape != (m, m) or m < 8:
         raise DegenerateGeometry(f"need a square grid of at least 8 cells, got {observed.shape}")
-    if d_range is None:
-        d_range = (2.0, m / 4.0)
-    if d_range[0] < 2.0:
-        raise GridTooCoarse("spreads below 2 grid steps are not resolvable")
+    d_lo, d_hi = 2.0, m / 4.0
 
     lags = lag_distribution(observed)
     delta = float(np.argmax(lags))
     if delta > m / 2:
         delta -= m
 
-    d_hat = 0.5 * (d_range[0] + d_range[1])
+    d_hat = 0.5 * (d_lo + d_hi)
     b_hat = 0.9
     for fit_pass in range(5):
         if fit_pass == 4:
             delta, _ = _line_max(lambda s: gps_objective(lags, s, d_hat, b_hat),
                                  delta - 1.0, delta + 1.0, tol=1e-6)
         d_hat, _ = _line_max(lambda d: gps_objective(lags, delta, d, b_hat),
-                             d_range[0], d_range[1], tol=1e-6)
+                             d_lo, d_hi, tol=1e-6)
         b_hat, _ = _line_max(lambda b: gps_objective(lags, delta, d_hat, b),
                              0.0, 1.0 - 1e-9, tol=1e-9)
     return delta, d_hat, b_hat

@@ -1,9 +1,11 @@
-"""Data types shared by the estimation layer.
+"""Data types of the estimation layer.
 
-Kept separate from the estimation operations so that the information
-measures can accept a Channel without a circular import.  numpy is
-imported inside the GpsModel methods that use it, not at module load: it is
-the bulk of ``import semcal``, and only the position model needs it.
+``Channel`` (a Shannon channel P(H|E)), ``SampleSet`` (tagged evidence
+records), ``GpsModel`` (the discretized position-estimator deviation model)
+and the ``toroidal_offset`` wrap they share with ``estimation``, which
+holds the operations on them.  numpy is imported inside the GpsModel
+methods that use it, not at module load: it is the bulk of
+``import semcal``, and only the position model needs it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ class Channel:
     """A Shannon channel P(H|E): one selecting-rule row per hypothesis.
 
     ``matrix[j][i]`` is P(h_j | e_i).  For each fixed evidence letter the
-    column over hypotheses is normalized; an individual row is not.
+    column over hypotheses sums to 1 within ``NORMALIZATION_TOLERANCE``;
+    an individual row need not.
     """
 
     alphabet: Alphabet
@@ -40,8 +43,7 @@ class Channel:
     matrix: tuple[tuple[float, ...], ...]
 
     def __init__(self, alphabet: Alphabet, hypotheses: Sequence[str],
-                 matrix: Sequence[Sequence[float]],
-                 tolerance: float = NORMALIZATION_TOLERANCE):
+                 matrix: Sequence[Sequence[float]]):
         hypotheses = tuple(str(h) for h in hypotheses)
         if len(set(hypotheses)) != len(hypotheses):
             raise NotNormalized(f"duplicate hypothesis names: {hypotheses}")
@@ -58,7 +60,7 @@ class Channel:
                 raise OutOfRange(f"channel values must lie in [0,1]: {row}")
         for i in range(len(alphabet)):
             col = math.fsum(row[i] for row in rows)
-            if abs(col - 1.0) > tolerance:
+            if abs(col - 1.0) > NORMALIZATION_TOLERANCE:
                 raise NotNormalized(
                     f"column for {alphabet.labels[i]!r} sums to {col}, not 1")
         object.__setattr__(self, "alphabet", alphabet)
@@ -89,12 +91,6 @@ class SampleSet:
                 raise UnknownLabel(f"evidence label {e!r} not in alphabet")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "records", records)
-
-    def conditions(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for c, _ in self.records:
-            seen.setdefault(c)
-        return tuple(seen)
 
     def __len__(self) -> int:
         return len(self.records)

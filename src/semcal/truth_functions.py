@@ -182,8 +182,14 @@ def belief_adjust(tf: TruthFunction, b: float) -> TruthFunction:
 
 
 def logical_probability(tf: TruthFunction, prior: Distribution) -> float:
-    """Prior-weighted average truth value (Zadeh's fuzzy-event probability)."""
-    return math.fsum(p * t for p, t in zip(prior.probs, tf.values(prior.alphabet)))
+    """Prior-weighted average truth value (Zadeh's fuzzy-event probability).
+
+    0.0 for an exact contradiction; otherwise the value of
+    ``truth_and_logical_probability``, which raises ZeroLogicalProbability
+    below ``CONTRADICTION_FLOOR``.
+    """
+    _, lp = truth_and_logical_probability(tf, prior)
+    return 0.0 if lp is None else lp
 
 
 def truth_and_logical_probability(tf: TruthFunction, prior: Distribution

@@ -33,9 +33,9 @@ from semcal import (
 from fractions import Fraction
 
 from semcal import estimation
+from semcal.distributions import NORMALIZATION_TOLERANCE
 from semcal.estimation import _line_max
 from semcal.errors import (
-    AlphabetMismatch,
     BeliefOutOfRange,
     DegenerateGeometry,
     DegenerateInput,
@@ -47,6 +47,7 @@ from semcal.errors import (
     NotNormalized,
     OutOfRange,
     ValidationError,
+    ZeroPrior,
     ZeroRow,
 )
 
@@ -354,6 +355,16 @@ class TestLineMax:
         assert abs(x - c) <= 1e-9
 
 
+@st.composite
+def tagged_samples(draw):
+    """Records over 2-64 labels and 1-8 condition tags, every label seen."""
+    labels = [f"e{i}" for i in range(draw(st.integers(2, 64)))]
+    tag = st.sampled_from([f"c{j}" for j in range(draw(st.integers(1, 8)))])
+    records = [(draw(tag), label) for label in labels]
+    records += draw(st.lists(st.tuples(tag, st.sampled_from(labels)), max_size=200))
+    return SampleSet(Alphabet(labels), draw(st.permutations(records)))
+
+
 class TestChannelFromSamples:
     def test_birds_selecting_rule(self):
         channel, prior = channel_from_samples(birds_samples())
@@ -371,18 +382,48 @@ class TestChannelFromSamples:
             observed = empirical_conditional(birds_samples(), {name})
             assert predicted.probs == pytest.approx(observed.probs, abs=1e-6)
 
-    def test_reordered_prior_gives_the_same_channel(self):
-        channel, prior = channel_from_samples(birds_samples())
-        reversed_prior = Distribution(Alphabet(("e0", "e1")), prior.probs[::-1])
-        channel2, prior2 = channel_from_samples(birds_samples(), reversed_prior)
-        assert channel2 == channel
-        assert prior2 == prior
+    def test_reads_the_records_once(self):
+        class CountingRecords(tuple):
+            iterations = 0
 
-    @pytest.mark.parametrize("labels", [("x", "y"), ("e1", "e0", "e2")])
-    def test_prior_on_other_labels(self, labels):
-        prior = Distribution(Alphabet(labels), [1.0 / len(labels)] * len(labels))
-        with pytest.raises(AlphabetMismatch):
-            channel_from_samples(birds_samples(), prior)
+            def __iter__(self):
+                CountingRecords.iterations += 1
+                return super().__iter__()
+
+        samples = birds_samples()
+        object.__setattr__(samples, "records", CountingRecords(samples.records))
+        channel_from_samples(samples)
+        assert CountingRecords.iterations == 1
+
+    def test_label_without_records_is_a_zero_prior(self):
+        samples = SampleSet(Alphabet(("a", "b", "z")), [("h", "a"), ("g", "b")])
+        with pytest.raises(ZeroPrior, match="'z'") as info:
+            channel_from_samples(samples)
+        assert info.value.exit_code == 2
+
+    def test_empty_sample_set(self):
+        with pytest.raises(EmptyConditionSubset):
+            channel_from_samples(SampleSet(AB, []))
+
+    @settings(max_examples=100, deadline=None)
+    @given(samples=tagged_samples())
+    def test_rows_are_bayes_from_exact_counts(self, samples):
+        channel, prior = channel_from_samples(samples)
+        records = samples.records
+        assert channel.hypotheses == tuple(dict.fromkeys(c for c, _ in records))
+        total = len(records)
+        n_e = {label: sum(1 for _, e in records if e == label) for label in samples.alphabet}
+        for c, row in zip(channel.hypotheses, channel.matrix):
+            n_c = sum(1 for h, _ in records if h == c)
+            for label, value in zip(samples.alphabet, row):
+                # P(c) * P(e|c) / P(e)
+                exact = (Fraction(n_c, total) * Fraction(records.count((c, label)), n_c)
+                         / Fraction(n_e[label], total))
+                assert abs(value - exact) <= 1e-15
+        for i in range(len(samples.alphabet)):
+            column = math.fsum(row[i] for row in channel.matrix)
+            assert abs(column - 1.0) <= NORMALIZATION_TOLERANCE
+        assert prior == empirical_conditional(samples, channel.hypotheses)
 
 
 @pytest.mark.parametrize("value", [1.5, -0.25])

@@ -17,6 +17,7 @@ from semcal import (
     doc_h1_from_table,
     gkl_decomposition,
     kl_divergence,
+    logical_probability,
     optimal_truth_function,
     pointwise_semantic_info,
     semantic_bayes,
@@ -133,6 +134,7 @@ class TestLogicalProbabilityRule:
         "average": lambda tf, prior: average_semantic_info(tf, prior, prior),
         "semantic_bayes": lambda tf, prior: semantic_bayes(prior, tf),
         "gkl": lambda tf, prior: gkl_decomposition(tf, prior, prior),
+        "logical_probability": logical_probability,
     }
 
     @pytest.mark.parametrize("measure", MEASURES.values(), ids=MEASURES.keys())
@@ -151,6 +153,10 @@ class TestLogicalProbabilityRule:
     def test_contradiction_carries_zero_average_information(self):
         prior = Distribution(AB, (0.8, 0.2))
         assert average_semantic_info(contradiction(AB), prior, prior) == 0.0
+
+    def test_contradiction_has_zero_logical_probability(self):
+        prior = Distribution(AB, (0.8, 0.2))
+        assert logical_probability(contradiction(AB), prior) == 0.0
 
 
 class TestSemanticMutualInfo:
