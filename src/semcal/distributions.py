@@ -14,6 +14,7 @@ from typing import Sequence
 from .errors import (
     AbsoluteContinuityViolated,
     AlphabetMismatch,
+    DuplicateLabel,
     NegativeMass,
     NonFinite,
     NotNormalized,
@@ -49,7 +50,7 @@ class Alphabet:
             raise NotNormalized("alphabet must not be empty")
         positions = {label: i for i, label in enumerate(labels)}
         if len(positions) != len(labels):
-            raise NotNormalized(f"duplicate labels in alphabet: {labels}")
+            raise DuplicateLabel(f"duplicate labels in alphabet: {labels}")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_positions", positions)
 

@@ -33,6 +33,10 @@ class NegativeMass(ValidationError):
     pass
 
 
+class DuplicateLabel(ValidationError):
+    """A label or hypothesis name occurs twice where names must be unique."""
+
+
 class AlphabetMismatch(ValidationError):
     pass
 

@@ -9,10 +9,15 @@ Brent's method, golden-section steps plus parabolic interpolation.
 
 numpy is imported inside the position-model functions, not at module
 load: it is the bulk of ``import semcal``, and only these functions use it.
+Their cost per call is mostly fixed overhead, so they check their inputs
+in one pass and take the long route only to name a fault, keep the last
+few Gaussian profiles in a small cache, and gather the lag distribution
+through a strided view; each of these leaves every output bit unchanged.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -236,7 +241,12 @@ def lag_distribution(observed: np.ndarray) -> np.ndarray:
     ``observed`` is the row-normalized channel P(reported | true) on a grid
     of m cells; entry k of the result is (1/m) * sum_t observed[t, (t+k) mod m],
     the joint probability that the reported cell lies k steps past the true
-    one.  One O(m^2) gather; the entries total 1.
+    one; the entries total 1.  The channel is checked in one pass (its
+    minimum and row sums); only a channel that fails it is scanned again to
+    name the fault.  The gather is a strided view of the channel placed
+    beside itself: row k of the view walks the diagonal t -> t + k.  The
+    view is copied to a contiguous m x m array so that each row sums in the
+    same order as before.
     """
     import numpy as np
 
@@ -244,28 +254,60 @@ def lag_distribution(observed: np.ndarray) -> np.ndarray:
     if observed.ndim != 2 or observed.shape[0] != observed.shape[1]:
         raise DegenerateInput(f"observed channel must be square, got {observed.shape}")
     m = observed.shape[0]
-    if not np.isfinite(observed).all():
-        raise NonFinite("observed channel has a NaN or infinite entry")
-    if (observed < 0).any():
-        raise NegativeMass("observed channel has a negative entry")
-    row_error = float(np.abs(observed.sum(axis=1) - 1.0).max())
-    if row_error > NORMALIZATION_TOLERANCE:
+    lowest = observed.min()
+    row_error = float(np.abs(observed.sum(axis=1) - 1.0).max()) if lowest >= 0 else math.nan
+    if not row_error <= NORMALIZATION_TOLERANCE:
+        _raise_bad_mass(observed, "observed channel")
         raise NotNormalized(f"observed rows must sum to 1, one is off by {row_error:.3g}")
-    idx = np.arange(m)
-    # row k gathers observed[t, (t+k) mod m] over t, contiguous for the sum
-    return observed[idx[None, :], (idx[None, :] + idx[:, None]) % m].sum(axis=1) / m
+    doubled = np.concatenate((observed, observed), axis=1)
+    step = doubled.itemsize
+    # view[k, t] = doubled[t, t + k] = observed[t, (t+k) mod m]
+    view = np.lib.stride_tricks.as_strided(doubled, shape=(m, m),
+                                           strides=(step, (2 * m + 1) * step), writeable=False)
+    return np.ascontiguousarray(view).sum(axis=1) / m
 
 
-def _check_lags(lags: np.ndarray) -> None:
+def _raise_bad_mass(values: np.ndarray, what: str) -> None:
+    """Raise NonFinite or NegativeMass, in that order, if either applies."""
     import numpy as np
 
-    if not np.isfinite(lags).all():
-        raise NonFinite("lag distribution has a NaN or infinite entry")
-    if (lags < 0).any():
-        raise NegativeMass("lag distribution has a negative entry")
-    total = float(lags.sum())
-    if abs(total - 1.0) > NORMALIZATION_TOLERANCE:
+    if not np.isfinite(values).all():
+        raise NonFinite(f"{what} has a NaN or infinite entry")
+    if (values < 0).any():
+        raise NegativeMass(f"{what} has a negative entry")
+
+
+def _checked_lags(lags: np.ndarray) -> tuple[float, float]:
+    """Return (sum, minimum) of a valid lag vector; raise for an invalid one.
+
+    A vector whose minimum is at least 0 and whose sum is 1 is valid, and
+    that takes one min and one sum.  Anything else is scanned again to
+    raise NonFinite, NegativeMass or NotNormalized, first match in that
+    order.  The sum runs only once the minimum has ruled out NaN and -inf.
+    """
+    lowest = lags.min() if lags.size else 0.0
+    total = float(lags.sum()) if lowest >= 0 else math.nan
+    if not abs(total - 1.0) <= NORMALIZATION_TOLERANCE:
+        _raise_bad_mass(lags, "lag distribution")
         raise NotNormalized(f"lag distribution sums to {total}, not 1")
+    return total, lowest
+
+
+@functools.lru_cache(maxsize=8, typed=True)
+def _gaussian_profile(m: int, delta: float, d: float) -> np.ndarray:
+    """exp(-dist^2/2d^2) at each lag of an m-cell ring, dist measured from delta.
+
+    Cached: a b-step of ``gps_fit`` evaluates one (delta, d) many times.
+    The array is read-only, so no caller can change what the next one gets,
+    and the cache is typed, so each entry was computed from arguments of
+    the caller's own types, as an uncached call would be.
+    """
+    import numpy as np
+
+    dist = toroidal_offset(np.arange(m) - delta, m)
+    profile = np.exp(-(dist**2) / (2.0 * d**2))
+    profile.flags.writeable = False
+    return profile
 
 
 def gps_objective(observed: np.ndarray, delta: float, d: float, b: float) -> float:
@@ -281,6 +323,13 @@ def gps_objective(observed: np.ndarray, delta: float, d: float, b: float) -> flo
     sum_k h[k]*log2 g(k - delta) - log2(mean g)*sum_k h[k]: an O(m)
     evaluation on the lag distribution h.  Returns ``-inf`` when a lag with
     mass has truth value 0 (possible only at b = 1).
+
+    Every call checks its lag vector: one min and one sum accept a valid
+    one, and only a vector that fails them is scanned again to name the
+    fault.  The profile exp(-dist^2/2d^2) comes from a small cache keyed on
+    (m, delta, d), which the belief steps of ``gps_fit`` hit.  No mask is
+    built when every lag has mass, and below b = 1 no truth value is 0, so
+    no ``-inf`` check runs.  None of this changes a bit of the result.
     """
     import numpy as np
 
@@ -291,29 +340,39 @@ def gps_objective(observed: np.ndarray, delta: float, d: float, b: float) -> flo
         raise BeliefOutOfRange(f"belief must lie in [0, 1], got b={b}")
     lags = np.asarray(observed, dtype=float)
     if lags.ndim == 1:
-        _check_lags(lags)
+        lags = np.ascontiguousarray(lags)    # the dot product sums in one order
+        total, lowest = _checked_lags(lags)
     else:
         lags = lag_distribution(lags)
+        total, lowest = float(lags.sum()), lags.min()
     m = lags.shape[0]
-    dist = toroidal_offset(np.arange(m) - delta, m)
-    truth = b * np.exp(-(dist**2) / (2.0 * d**2)) + (1.0 - b)
-    seen = lags > 0
-    with np.errstate(divide="ignore"):
-        log_truth = np.log2(truth[seen])
-    if np.isneginf(log_truth).any():
-        return float("-inf")
-    return float(lags[seen] @ log_truth - math.log2(truth.mean()) * lags.sum())
+    truth = b * _gaussian_profile(m, delta, d) + (1.0 - b)
+    if lowest > 0:    # every lag has mass
+        mass, kept = lags, truth
+    else:
+        seen = lags > 0
+        mass, kept = lags[seen], truth[seen]
+    if b < 1.0:    # every truth value is at least 1 - b > 0
+        log_truth = np.log2(kept)
+    else:
+        with np.errstate(divide="ignore"):
+            log_truth = np.log2(kept)
+        if np.isneginf(log_truth).any():
+            return float("-inf")
+    return float(mass @ log_truth - math.log2(truth.sum() / m) * total)
 
 
 def gps_fit(observed: np.ndarray) -> tuple[float, float, float]:
     """Recover (delta_e, d, b) of the deviation model from an observed channel.
 
     Reduces the channel to its lag distribution once (O(m^2)); every
-    objective evaluation after that is O(m).  The integer shift is the lag
-    with the most mass; then five passes each run a Brent line search on
-    the spread d over [2, m/4] grid steps and then on the belief b, and the
-    shift is refined continuously before the fifth.  Returns
-    (delta_hat, d_hat, b_hat).
+    objective evaluation after that is O(m).  Each evaluation calls the
+    module's ``gps_objective`` on that lag vector, which checks it with one
+    min and one sum; the belief steps hold (delta, d) fixed and so reuse its
+    cached Gaussian profile.  The integer shift is the lag with the most
+    mass; then five passes each run a Brent line search on the spread d
+    over [2, m/4] grid steps and then on the belief b, and the shift is
+    refined continuously before the fifth.  Returns (delta_hat, d_hat, b_hat).
 
     On grids of at least 200 cells whose true spread is at least 4 steps,
     the recovered shift is within one grid step of the true delta_e, the

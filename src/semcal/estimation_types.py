@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 from .distributions import NORMALIZATION_TOLERANCE, Alphabet, require_finite
 from .errors import (
     DegenerateGeometry,
+    DuplicateLabel,
     GridTooCoarse,
     IndexMismatch,
     NegativeMass,
@@ -46,7 +47,7 @@ class Channel:
                  matrix: Sequence[Sequence[float]]):
         hypotheses = tuple(str(h) for h in hypotheses)
         if len(set(hypotheses)) != len(hypotheses):
-            raise NotNormalized(f"duplicate hypothesis names: {hypotheses}")
+            raise DuplicateLabel(f"duplicate hypothesis names: {hypotheses}")
         rows = tuple(tuple(float(v) for v in row) for row in matrix)
         if len(rows) != len(hypotheses):
             raise IndexMismatch(

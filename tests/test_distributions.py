@@ -8,6 +8,7 @@ from semcal.distributions import NORMALIZATION_TOLERANCE
 from semcal.errors import (
     AbsoluteContinuityViolated,
     AlphabetMismatch,
+    DuplicateLabel,
     NotNormalized,
     OutOfRange,
     UnknownLabel,
@@ -52,8 +53,9 @@ class TestDistribution:
         assert math.isclose(sum(d.probs), 1.0, abs_tol=1e-15)
 
     def test_alphabet_rejects_duplicates(self):
-        with pytest.raises(NotNormalized):
-            Alphabet(("a", "a"))
+        with pytest.raises(DuplicateLabel) as info:
+            Alphabet(("a", "b", "a"))
+        assert info.value.exit_code == 1
 
     def test_unknown_label(self):
         with pytest.raises(UnknownLabel):

@@ -39,6 +39,7 @@ from semcal.errors import (
     BeliefOutOfRange,
     DegenerateGeometry,
     DegenerateInput,
+    DuplicateLabel,
     EmptyConditionSubset,
     GridTooCoarse,
     IndexMismatch,
@@ -432,8 +433,11 @@ def test_channel_value_outside_unit_interval_is_out_of_range(value):
         Channel(AB, ("h1", "h0"), ((value, 0.5), (1.0 - value, 0.5)))
 
 
-# name: (constructor call, error); shape errors are IndexMismatch, range errors OutOfRange
+# name: (constructor call, error); shape errors are IndexMismatch, range errors OutOfRange,
+# a repeated name DuplicateLabel
 MISUSE_CASES = {
+    "channel-duplicate-hypothesis": (
+        lambda: Channel(AB, ("h1", "h1"), ((0.5, 0.5), (0.5, 0.5))), DuplicateLabel),
     "channel-row-count": (lambda: Channel(AB, ("h1", "h0"), ((1.0, 1.0),)), IndexMismatch),
     "channel-row-length": (lambda: Channel(AB, ("h1",), ((1.0,),)), IndexMismatch),
     "rates-prior-not-a-pair": (lambda: RateSpec(prior=(0.2, 0.3, 0.5), posterior=(0.5, 0.5)),
@@ -520,6 +524,8 @@ class TestGpsFit:
         model = GpsModel(grid_size=200, delta_e=3, d=6.0, c=0.001)
         gps_fit(model.channel_matrix())
         assert 0 < len(calls) <= 250
+        for observed, *_ in calls:    # the lag vector, as the benchmark's trace reads it
+            assert isinstance(observed, np.ndarray) and observed.shape == (200,)
 
     def test_too_coarse(self):
         with pytest.raises(GridTooCoarse):
@@ -677,3 +683,112 @@ class TestGpsValidation:
     def test_non_square_channel(self):
         with pytest.raises(DegenerateInput):
             lag_distribution(np.full((4, 5), 0.2))
+
+
+def index_gather(observed):
+    """Lag distribution by two m x m index arrays: row k holds observed[t, (t+k) mod m]."""
+    m = observed.shape[0]
+    idx = np.arange(m)
+    return observed[idx[None, :], (idx[None, :] + idx[:, None]) % m].sum(axis=1) / m
+
+
+def masked_objective(lags, delta, d, b):
+    """gps_objective on a lag vector without the profile cache or the shortcuts."""
+    m = lags.shape[0]
+    dist = (np.arange(m) - delta + m / 2) % m - m / 2
+    truth = b * np.exp(-(dist**2) / (2.0 * d**2)) + (1.0 - b)
+    seen = lags > 0
+    with np.errstate(divide="ignore"):
+        log_truth = np.log2(truth[seen])
+    if np.isneginf(log_truth).any():
+        return float("-inf")
+    return float(lags[seen] @ log_truth - math.log2(truth.mean()) * lags.sum())
+
+
+class TestGpsFastPaths:
+    """The strided gather, the one-pass checks and the profile cache change no bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(8, 64), seed=st.integers(0, 2**32 - 1), zero_share=st.floats(0.0, 0.95))
+    def test_gather_matches_index_gather(self, m, seed, zero_share):
+        observed = random_channel(m, seed, zero_share)
+        assert np.array_equal(lag_distribution(observed), index_gather(observed))
+
+    @pytest.mark.parametrize("m", [200, 256])
+    @settings(max_examples=10, deadline=None)
+    @given(delta_e=st.floats(-10.0, 10.0), d=st.floats(2.0, 30.0),
+           floor_share=st.floats(0.0, 0.9))
+    def test_gather_matches_index_gather_on_model_channels(self, m, delta_e, d, floor_share):
+        observed = GpsModel(grid_size=m, delta_e=delta_e, d=d, c=floor_share / m).channel_matrix()
+        assert np.array_equal(lag_distribution(observed), index_gather(observed))
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(8, 64), seed=st.integers(0, 2**32 - 1),
+           zero_share=st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
+           delta=st.floats(-70.0, 70.0), d=st.floats(0.1, 40.0),
+           b=st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+    @example(m=16, seed=0, zero_share=0.0, delta=0.0, d=0.2, b=1.0)  # -inf branch
+    def test_objective_matches_masked_objective(self, m, seed, zero_share, delta, d, b):
+        lags = lag_distribution(random_channel(m, seed, zero_share))
+        spaced = np.zeros(2 * m)
+        spaced[::2] = lags
+        for vector in (lags, spaced[::2]):    # contiguous and strided
+            assert gps_objective(vector, delta, d, b) == masked_objective(lags, delta, d, b)
+
+    def test_profile_cache_leaks_no_state(self):
+        lags = lag_distribution(_GOOD_CHANNEL)
+        params = [(1.5, 3.0), (-2.25, 7.0)]
+        beliefs = (0.3, 0.9, 1.0)
+        first = {}
+        for delta, d in params:
+            estimation._gaussian_profile.cache_clear()
+            first[delta, d] = [gps_objective(lags, delta, d, b) for b in beliefs]
+        estimation._gaussian_profile.cache_clear()
+        for delta, d in params + params[:1]:
+            assert [gps_objective(lags, delta, d, b) for b in beliefs] == first[delta, d]
+        assert estimation._gaussian_profile.cache_info().hits > 0
+        profile = estimation._gaussian_profile(32, 1.5, 3.0)
+        assert not profile.flags.writeable
+        with pytest.raises(ValueError):
+            profile[0] = 0.0
+
+
+def _with_entry(values, position, value):
+    values = values.copy()
+    values[position] = value
+    return values
+
+
+_GOOD_LAGS = lag_distribution(_GOOD_CHANNEL)
+
+# name: (lag vector, channel matrix, error of both); the first failing check of
+# NonFinite, NegativeMass, NotNormalized names the error
+BAD_MASS_CASES = {
+    "inf": (_with_entry(_GOOD_LAGS, 3, INF), _with_entry(_GOOD_CHANNEL, (2, 3), INF), NonFinite),
+    "-inf": (_with_entry(_GOOD_LAGS, 3, -INF), _with_entry(_GOOD_CHANNEL, (2, 3), -INF),
+             NonFinite),
+    "nan": (_with_entry(_GOOD_LAGS, 3, NAN), _with_entry(_GOOD_CHANNEL, (2, 3), NAN), NonFinite),
+    "negative": (_with_entry(_GOOD_LAGS, 3, -0.01), _with_entry(_GOOD_CHANNEL, (2, 3), -0.01),
+                 NegativeMass),
+    "nan-and-negative": (_with_entry(_with_entry(_GOOD_LAGS, 3, -0.01), 5, NAN),
+                         _with_entry(_with_entry(_GOOD_CHANNEL, (2, 3), -0.01), (4, 5), NAN),
+                         NonFinite),
+    "inf-and-negative": (_with_entry(_with_entry(_GOOD_LAGS, 3, -0.01), 5, INF),
+                         _with_entry(_with_entry(_GOOD_CHANNEL, (2, 3), -0.01), (4, 5), INF),
+                         NonFinite),
+    "negative-and-unnormalized": (_with_entry(_GOOD_LAGS, 3, -0.01) * 3.0,
+                                  _with_entry(_GOOD_CHANNEL, (2, 3), -0.01) * 3.0, NegativeMass),
+    "finite-sum-overflows": (np.full(32, 1e308), np.full((32, 32), 1e308), NotNormalized),
+}
+
+
+@pytest.mark.parametrize("lags, observed, error", BAD_MASS_CASES.values(),
+                         ids=BAD_MASS_CASES.keys())
+def test_one_pass_checks_keep_error_class(lags, observed, error):
+    calls = [lambda: gps_objective(lags, 0.0, 3.0, 0.9),
+             lambda: gps_objective(observed, 0.0, 3.0, 0.9),
+             lambda: lag_distribution(observed)]
+    for call in calls:
+        with pytest.raises(error) as info, np.errstate(over="ignore"):
+            call()
+        assert info.value.exit_code == 1
