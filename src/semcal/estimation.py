@@ -7,6 +7,10 @@ position-estimator deviation model by coordinate search on the semantic
 mutual information.  Every one-dimensional maximization is ``_line_max``:
 Brent's method, golden-section steps plus parabolic interpolation.
 
+The belief objective is closed-form on the distinct base truth values: the
+sampling mass is grouped by truth value once per solve, so each evaluation
+is one plain loop over the groups (two for a crisp base).
+
 numpy is imported inside the position-model functions, not at module
 load: it is the bulk of ``import semcal``, and only these functions use it.
 Their cost per call is mostly fixed overhead, so they check their inputs
@@ -24,7 +28,12 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .confirmation import DocCase, DocResult, doc_from_ratio
-from .distributions import NORMALIZATION_TOLERANCE, Distribution, require_finite
+from .distributions import (
+    NORMALIZATION_TOLERANCE,
+    Distribution,
+    _require_same_alphabet,
+    require_finite,
+)
 from .errors import (
     BeliefOutOfRange,
     DegenerateGeometry,
@@ -141,13 +150,50 @@ def _line_max(f, lo: float, hi: float, tol: float = 1e-9) -> tuple[float, float]
     return x, fx
 
 
+def _belief_objective(table: tuple[float, ...], prior: Distribution, sampling: Distribution):
+    """The belief search's objective, grouped by truth value.
+
+    Groups the sampling mass by base truth value once: Q_g is the mass of
+    the labels with truth value t_g, over labels with q > 0 only, M is their
+    total and E_P[t] the prior mean of the base.  With u = t - 1 on the
+    positive branch and u = t on the negative one, the adjusted truth value
+    at b is 1 + b*u, and for b strictly inside (-1, 1) every such value and
+    the logical probability 1 + b*E_P[u] are positive.  So the average
+    semantic information is
+
+        f(b) = sum_g Q_g*log2(1 + b*u_g) - M*log2(1 + b*E_P[u]),
+
+    one loop over the groups with no validation; a crisp base has two.
+    """
+    _require_same_alphabet(prior, sampling)
+    grouped = {}
+    for q, t in zip(sampling.probs, table):
+        if q > 0.0:
+            grouped[t] = grouped.get(t, 0.0) + q
+    groups = tuple(grouped.items())
+    kept = math.fsum(grouped.values())
+    mean = math.fsum(p * t for p, t in zip(prior.probs, table))
+    log2 = math.log2
+
+    def f(b: float) -> float:
+        # 1 + b*u, written as offset + b*t: the same truth values as belief_adjust
+        offset = 1.0 - b if b >= 0.0 else 1.0
+        total = 0.0
+        for t, q in groups:
+            total += q * log2(offset + b * t)
+        return total - kept * log2(offset + b * mean)
+
+    return f
+
+
 def optimize_belief(base_tf: TruthFunction, prior: Distribution,
                     sampling: Distribution) -> DocResult:
     """Degree of confirmation of a general (possibly fuzzy) hypothesis.
 
     Maximizes the average semantic information f(b) of the belief-adjusted
-    hypothesis over b in [-1, 1].  The base is evaluated once; each belief
-    is an affine map of that vector.
+    hypothesis over b in [-1, 1].  The base is evaluated once, and its
+    sampling mass is grouped by truth value once (``_belief_objective``);
+    each search evaluation is then one loop over the groups.
 
     Branch rule: both one-sided slopes at b = 0 equal
     (E_Q[t] - E_P[t]) / ln 2 for the base truth vector t, sampling Q and
@@ -155,8 +201,10 @@ def optimize_belief(base_tf: TruthFunction, prior: Distribution,
     falls into from 0, so only the branch it rises into is searched ([0, 1]
     for a positive slope, [-1, 0] for a negative one; both when the slope is
     exactly 0).  The candidates are that search, b = 0 (the tautology,
-    0 bits) and the end of the searched branch, b = 1 or b = -1; the end
-    of the falling branch is below 0 bits too, so it is not evaluated.
+    0 bits) and the end of the searched branch, b = 1 or b = -1, which
+    ``average_semantic_info`` evaluates with its -inf and contradiction
+    rules; the end of the falling branch is below 0 bits too, so it is not
+    evaluated.
 
     Tie rule: candidates within ``TIE_BITS`` of the best one tie, and the tie
     goes to the smallest |b|.  So evidence that carries no information
@@ -165,9 +213,7 @@ def optimize_belief(base_tf: TruthFunction, prior: Distribution,
     base = Tabular(prior.alphabet, base_tf.values(prior.alphabet))
     if max(base.table) <= 0:
         raise DegenerateInput("base truth function is identically zero")
-
-    def objective(b: float) -> float:
-        return average_semantic_info(belief_adjust(base, b), prior, sampling)
+    objective = _belief_objective(base.table, prior, sampling)
 
     slope = math.fsum((q - p) * t for q, p, t in zip(sampling.probs, prior.probs, base.table))
     if slope > 0.0:
@@ -178,7 +224,8 @@ def optimize_belief(base_tf: TruthFunction, prior: Distribution,
         ends = (1.0, -1.0)
     candidates = [(0.0, 0.0)]
     candidates += [_line_max(objective, min(0.0, end), max(0.0, end)) for end in ends]
-    candidates += [(end, objective(end)) for end in ends]
+    candidates += [(end, average_semantic_info(belief_adjust(base, end), prior, sampling))
+                   for end in ends]
 
     top = max(fx for _, fx in candidates)
     best_b, best_f = min((c for c in candidates if c[1] >= top - TIE_BITS),
@@ -251,8 +298,9 @@ def lag_distribution(observed: np.ndarray) -> np.ndarray:
     import numpy as np
 
     observed = np.asarray(observed, dtype=float)
-    if observed.ndim != 2 or observed.shape[0] != observed.shape[1]:
-        raise DegenerateInput(f"observed channel must be square, got {observed.shape}")
+    if observed.ndim != 2 or observed.shape[0] != observed.shape[1] or observed.size == 0:
+        raise DegenerateInput(f"observed channel must be square and non-empty, "
+                              f"got {observed.shape}")
     m = observed.shape[0]
     lowest = observed.min()
     row_error = float(np.abs(observed.sum(axis=1) - 1.0).max()) if lowest >= 0 else math.nan

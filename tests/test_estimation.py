@@ -160,18 +160,19 @@ class TestOptimizeBelief:
         with pytest.raises(DegenerateInput):
             optimize_belief(Tabular(AB, (0.0, 0.0)), prior, prior)
 
-    def test_objective_calls_at_n64(self, monkeypatch):
-        calls = count_calls(monkeypatch, "average_semantic_info")
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_search_evaluations(self, monkeypatch, n):
+        evaluations = count_search_evaluations(monkeypatch)
         rng = random.Random(31)
-        ab = Alphabet([f"x{i}" for i in range(64)])
+        ab = Alphabet([f"x{i}" for i in range(n)])
         for _ in range(5):
-            prior = Distribution(ab, normalized([rng.uniform(0.01, 1.0) for _ in range(64)]))
-            sampling = Distribution(ab, normalized([rng.uniform(0.01, 1.0) for _ in range(64)]))
-            for base in (Crisp(ab, rng.sample(ab.labels, 8)),
-                         Tabular(ab, [rng.uniform(0.0, 1.0) for _ in range(64)])):
-                calls.clear()
+            prior = Distribution(ab, normalized([rng.uniform(0.01, 1.0) for _ in range(n)]))
+            sampling = Distribution(ab, normalized([rng.uniform(0.01, 1.0) for _ in range(n)]))
+            for base in (Crisp(ab, rng.sample(ab.labels, n // 8)),
+                         Tabular(ab, [rng.uniform(0.0, 1.0) for _ in range(n)])):
+                evaluations.clear()
                 optimize_belief(base, prior, sampling)
-                assert 0 < len(calls) <= 40
+                assert 0 < len(evaluations) <= 40
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_falling_branch_end_is_not_evaluated(self, monkeypatch, sign):
@@ -197,6 +198,22 @@ class TestOptimizeBelief:
 def normalized(weights):
     total = math.fsum(weights)
     return [w / total for w in weights]
+
+
+def count_search_evaluations(monkeypatch):
+    """Wrap the objective ``optimize_belief`` hands to ``_line_max``; returns its points."""
+    points = []
+    original = estimation._line_max
+
+    def counted(f, *args, **kwargs):
+        def g(x):
+            points.append(x)
+            return f(x)
+
+        return original(g, *args, **kwargs)
+
+    monkeypatch.setattr(estimation, "_line_max", counted)
+    return points
 
 
 def count_calls(monkeypatch, name):
@@ -296,6 +313,47 @@ class TestOptimizeBeliefProperties:
         assert -1.0 <= numeric.b_star <= 1.0
         assert numeric.information_bits >= grid_information(
             base.table, prior, sampling).max() - 1e-9
+
+
+@st.composite
+def objective_problems(draw):
+    """(table, prior, sampling) on 2-256 labels for the grouped belief objective.
+
+    The base is crisp or takes a few repeated values, so that labels share a
+    truth value and their sampling mass merges into one group.  The sampling
+    has zero entries; the prior is positive.
+    """
+    n = draw(st.integers(2, 256))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        values = [0.0, 1.0]
+    else:
+        values = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    table = [rng.choice(values) for _ in range(n)]
+    zero_share = draw(st.floats(0.0, 0.9))
+    ab = Alphabet([f"x{i}" for i in range(n)])
+    prior = Distribution(ab, normalized([rng.uniform(0.01, 1.0) for _ in range(n)]))
+    weights = [0.0 if rng.random() < zero_share else rng.uniform(0.01, 1.0) for _ in range(n)]
+    if not any(weights):
+        weights[rng.randrange(n)] = 1.0
+    return table, prior, Distribution(ab, normalized(weights))
+
+
+class TestBeliefObjective:
+    # the search stays at least tol/4 = 2.5e-10 inside each branch
+    @settings(max_examples=300, deadline=None)
+    @given(problem=objective_problems(), sign=st.sampled_from([1.0, -1.0]),
+           size=st.floats(0.0, 1.0 - 1e-9))
+    @example(problem=([1.0, 0.0, 0.5], Distribution(Alphabet(["x0", "x1", "x2"]), (0.2, 0.3, 0.5)),
+                      Distribution(Alphabet(["x0", "x1", "x2"]), (0.0, 0.6, 0.4))),
+             sign=1.0, size=1.0 - 1e-9)
+    def test_matches_average_semantic_info(self, problem, sign, size):
+        table, prior, sampling = problem
+        b = sign * size
+        f = estimation._belief_objective(tuple(table), prior, sampling)
+        expected = average_semantic_info(belief_adjust(Tabular(prior.alphabet, table), b),
+                                         prior, sampling)
+        assert f(b) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def traced(f):
@@ -683,6 +741,14 @@ class TestGpsValidation:
     def test_non_square_channel(self):
         with pytest.raises(DegenerateInput):
             lag_distribution(np.full((4, 5), 0.2))
+
+    @pytest.mark.parametrize("call", [lag_distribution,
+                                      lambda observed: gps_objective(observed, 0.0, 3.0, 0.9)],
+                             ids=["lag_distribution", "gps_objective"])
+    def test_empty_channel_is_degenerate(self, call):
+        with pytest.raises(DegenerateInput) as info:
+            call(np.zeros((0, 0)))
+        assert info.value.exit_code == 2
 
 
 def index_gather(observed):
