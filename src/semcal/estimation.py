@@ -1,15 +1,28 @@
 """Maximum semantic information estimation.
 
 Derives optimal truth functions by max-normalizing selecting-rule rows of a
-Shannon channel, optimizes a scalar degree of belief by a line search on
-one sign branch (the objective is unimodal on each), and fits the 1-D
+Shannon channel, finds the degree of belief that maximizes the semantic
+information as the root of a concave function, and fits the 1-D
 position-estimator deviation model by coordinate search on the semantic
-mutual information.  Every one-dimensional maximization is ``_line_max``:
-Brent's method, golden-section steps plus parabolic interpolation.
+mutual information.
 
-The belief objective is closed-form on the distinct base truth values: the
+The belief optimum.  On one sign branch the adjusted truth values are
+T_b = 1 + b*u, with u = t - 1 for b > 0 and u = t for b < 0.  Let H(b) be
+their harmonic mean under the sampling distribution Q (over the labels with
+q > 0, of total mass M) and LP(b) = E_P[T_b] the logical probability.  Then
+the information f(b) has slope f'(b) = M*k(b) / (b*H*LP*ln 2) with
+k(b) = H(b) - LP(b).  A weighted harmonic mean of positive affine functions
+is concave, so k is concave on each branch, and k(0) = 0: f is unimodal and
+its maximizer on a branch is the root of k.  ``_concave_root`` finds that
+root by a bracketed Newton iteration; ``optimize_belief`` and the belief
+steps of ``gps_fit`` both use it.  The other one-dimensional maximizations
+(the shift and spread steps of ``gps_fit``) are ``_line_max``: Brent's
+method, golden-section steps plus parabolic interpolation.
+
+The belief solve is closed-form on the distinct base truth values: the
 sampling mass is grouped by truth value once per solve, so each evaluation
-is one plain loop over the groups (two for a crisp base).
+of k, or of the information, is one plain loop over the groups (two for a
+crisp base).
 
 numpy is imported inside the position-model functions, not at module
 load: it is the bulk of ``import semcal``, and only these functions use it.
@@ -23,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -48,13 +62,16 @@ from .errors import (
 )
 from .estimation_types import Channel, SampleSet, toroidal_offset
 from .semantic_info import average_semantic_info
-from .truth_functions import Tabular, TruthFunction, belief_adjust
+from .truth_functions import Crisp, Tabular, TruthFunction, belief_adjust
 
 if TYPE_CHECKING:
     import numpy as np
 
 #: Fraction of the longer side of the bracket that a golden-section step covers.
 GOLDEN_SECTION = (3.0 - math.sqrt(5.0)) / 2.0
+
+#: Width of the final bracket of ``_concave_root`` around a belief optimum.
+ROOT_TOL = 1e-9
 
 #: Belief candidates whose information is within this many bits of the best
 #: one tie; the tie goes to the smallest |b|, so rounding never decides it.
@@ -150,29 +167,90 @@ def _line_max(f, lo: float, hi: float, tol: float = 1e-9) -> tuple[float, float]
     return x, fx
 
 
-def _belief_objective(table: tuple[float, ...], prior: Distribution, sampling: Distribution):
-    """The belief search's objective, grouped by truth value.
+def _concave_root(k, end: float, start: float | None = None) -> float:
+    """Maximize a unimodal f on the branch from 0 to ``end`` as the root of its k.
 
-    Groups the sampling mass by base truth value once: Q_g is the mass of
-    the labels with truth value t_g, over labels with q > 0 only, M is their
-    total and E_P[t] the prior mean of the base.  With u = t - 1 on the
-    positive branch and u = t on the negative one, the adjusted truth value
-    at b is 1 + b*u, and for b strictly inside (-1, 1) every such value and
-    the logical probability 1 + b*E_P[u] are positive.  So the average
-    semantic information is
+    k(b) returns (k, k') for a function that is concave on the branch with
+    k(0) = 0, at least 0 from b = 0 up to the maximizer of f and below 0
+    past it; or None where a truth value is 0, which counts as past it.  The
+    search starts at ``end``, or at ``start`` when one is given.  If
+    k(end) >= 0, f still rises into the end: the end is returned, and no
+    search runs.
 
-        f(b) = sum_g Q_g*log2(1 + b*u_g) - M*log2(1 + b*E_P[u]),
+    Otherwise each step is a Newton step on k(b)/b, the slope of the chord
+    of k from 0, which has the same root on the branch.  Near b = 0, k is
+    close to a parabola s*b - c*b**2, and Newton steps on k from past its
+    small root only halve the distance to it; k(b)/b is close to the line
+    s - c*b, which one Newton step solves.  The steps stay inside the
+    bracket formed by the last point seen on each side of the root (b = 0
+    and ``end`` to begin with).  A step bisects the bracket instead when the
+    Newton point leaves it or is undefined, or when the steps stop halving,
+    as in ``_line_max``; a warm start that has not yet seen past the root
+    tries ``end`` instead.
 
-    one loop over the groups with no validation; a crisp base has two.
+    The search stops once the bracket is at most ``ROOT_TOL`` wide, or
+    ``ROOT_TOL`` times the distance from its far side to ``end`` where that
+    is under 1: f changes on the scale of that distance when ``end`` has a
+    truth value of 0 and the root lies close to it.  (It also stops on a
+    bracket with no float inside.)  Every step moves at least a quarter of
+    that width, so a small Newton step alone does not end the search: near
+    b = 0 the difference H - LP has lost most of its digits.  Returns the
+    Newton point of the last evaluation when it lies strictly inside the
+    final bracket, else the last point evaluated.
+    """
+    near, far, far_seen = 0.0, end, False
+    x = end if start is None else start
+    step = previous = math.inf
+    while True:
+        value = k(x)
+        if value is None or value[0] < 0.0:
+            far, far_seen = x, True
+        elif x == end:
+            return end
+        else:
+            near = x
+        lo, hi, mid = min(near, far), max(near, far), 0.5 * (near + far)
+        newton = math.nan
+        if value is not None and value[1] * x != value[0]:
+            newton = -value[0] * x / (value[1] * x - value[0])
+        width = ROOT_TOL * min(1.0, abs(end - far))
+        if hi - lo <= width or not lo < mid < hi:
+            return x + newton if lo < x + newton < hi else x
+        if abs(newton) < width / 4.0:
+            newton = math.copysign(width / 4.0, newton)
+        if lo < x + newton < hi and abs(newton) < 0.5 * abs(previous):
+            previous, step = step, newton
+        else:
+            previous, step = step, (mid if far_seen else end) - x
+        x += step
+
+
+def _belief_groups(table: tuple[float, ...], prior: Distribution, sampling: Distribution):
+    """The sampling mass grouped by base truth value, for the belief solve.
+
+    Returns (groups, kept, mean): the (t_g, Q_g) pairs, where Q_g is the
+    sampling mass of the labels with truth value t_g over labels with q > 0
+    only, their total M, and the prior mean E_P[t] of the base.
     """
     _require_same_alphabet(prior, sampling)
     grouped = {}
     for q, t in zip(sampling.probs, table):
         if q > 0.0:
             grouped[t] = grouped.get(t, 0.0) + q
-    groups = tuple(grouped.items())
-    kept = math.fsum(grouped.values())
-    mean = math.fsum(p * t for p, t in zip(prior.probs, table))
+    mean = math.fsum(map(operator.mul, prior.probs, table))
+    return tuple(grouped.items()), math.fsum(grouped.values()), mean
+
+
+def _belief_objective(groups, kept: float, mean: float):
+    """The average semantic information f(b) of the belief-adjusted base.
+
+    For b strictly inside (-1, 1) every adjusted truth value 1 + b*u and
+    the logical probability 1 + b*E_P[u] are positive, so
+
+        f(b) = sum_g Q_g*log2(1 + b*u_g) - M*log2(1 + b*E_P[u]),
+
+    one loop over the ``_belief_groups`` with no validation.
+    """
     log2 = math.log2
 
     def f(b: float) -> float:
@@ -186,46 +264,85 @@ def _belief_objective(table: tuple[float, ...], prior: Distribution, sampling: D
     return f
 
 
+def _belief_gap(groups, kept: float, mean: float, end: float):
+    """k(b) = H(b) - LP(b) and its slope on the branch toward ``end``, for ``_concave_root``.
+
+    With S = sum_g Q_g/T_g, H = M/S and k' = H*D/S - E_P[u], where
+    D = sum_g Q_g*u_g/T_g**2.  Since u_g = (T_g - 1)/b, D = (S - S2)/b with
+    S2 = sum_g Q_g/T_g**2, so one loop over the groups, with two divisions
+    per group and no log, gives both.  S - S2 loses digits as b nears 0,
+    which only blunts the Newton steps there; the sign of k, which settles
+    the bracket, does not use it.  Returns None where a truth value is 0,
+    which only happens at b = end.
+    """
+    lp_slope = mean - 1.0 if end > 0.0 else mean     # E_P[u]
+
+    def k(b: float):
+        offset = 1.0 - b if end > 0.0 else 1.0
+        s = s2 = 0.0
+        try:
+            for t, q in groups:
+                truth = offset + b * t
+                r = q / truth
+                s += r
+                s2 += r / truth
+        except ZeroDivisionError:
+            return None
+        h = kept / s
+        return h - (offset + b * mean), h * (1.0 - s2 / s) / b - lp_slope
+
+    return k
+
+
 def optimize_belief(base_tf: TruthFunction, prior: Distribution,
                     sampling: Distribution) -> DocResult:
     """Degree of confirmation of a general (possibly fuzzy) hypothesis.
 
     Maximizes the average semantic information f(b) of the belief-adjusted
-    hypothesis over b in [-1, 1].  The base is evaluated once, and its
-    sampling mass is grouped by truth value once (``_belief_objective``);
-    each search evaluation is then one loop over the groups.
+    hypothesis over b in [-1, 1].  A base that is not a ``Tabular`` or a
+    ``Crisp`` on the prior's alphabet is evaluated once, into a ``Tabular``;
+    those two are used as they are, since their truth vectors are valid and
+    cheap to read again.  The sampling mass is grouped by truth value once
+    (``_belief_groups``).  The maximizer on a branch is the root of
+    k = H - LP (see the module docstring), which ``_concave_root`` finds
+    from the end of the branch; each of its steps is one loop over the
+    groups.
 
     Branch rule: both one-sided slopes at b = 0 equal
     (E_Q[t] - E_P[t]) / ln 2 for the base truth vector t, sampling Q and
-    prior P.  By Jensen's inequality f stays below 0 bits on the branch it
-    falls into from 0, so only the branch it rises into is searched ([0, 1]
-    for a positive slope, [-1, 0] for a negative one; both when the slope is
-    exactly 0).  The candidates are that search, b = 0 (the tautology,
-    0 bits) and the end of the searched branch, b = 1 or b = -1, which
-    ``average_semantic_info`` evaluates with its -inf and contradiction
-    rules; the end of the falling branch is below 0 bits too, so it is not
-    evaluated.
+    prior P.  f is unimodal, so it stays below 0 bits on the branch it falls
+    into from 0, and only the branch it rises into is solved ([0, 1] for a
+    positive slope, [-1, 0] for a negative one).  When the slope is exactly
+    0, b = 0 is the global maximum: the result is b* = 0.0 with 0 bits, and
+    nothing else is evaluated.  Otherwise the candidates are b = 0 (the
+    tautology, 0 bits), the root when it lies inside the branch, and the end
+    of the branch, b = 1 or b = -1, which ``average_semantic_info``
+    evaluates with its -inf and contradiction rules; the end of the falling
+    branch is below 0 bits too, so it is not evaluated.
 
     Tie rule: candidates within ``TIE_BITS`` of the best one tie, and the tie
     goes to the smallest |b|.  So evidence that carries no information
     (sampling equal to the prior) gives b* = 0.0 exactly.
     """
-    base = Tabular(prior.alphabet, base_tf.values(prior.alphabet))
-    if max(base.table) <= 0:
-        raise DegenerateInput("base truth function is identically zero")
-    objective = _belief_objective(base.table, prior, sampling)
-
-    slope = math.fsum((q - p) * t for q, p, t in zip(sampling.probs, prior.probs, base.table))
-    if slope > 0.0:
-        ends = (1.0,)
-    elif slope < 0.0:
-        ends = (-1.0,)
+    if isinstance(base_tf, (Tabular, Crisp)) and base_tf.alphabet.labels == prior.alphabet.labels:
+        base = base_tf
     else:
-        ends = (1.0, -1.0)
-    candidates = [(0.0, 0.0)]
-    candidates += [_line_max(objective, min(0.0, end), max(0.0, end)) for end in ends]
-    candidates += [(end, average_semantic_info(belief_adjust(base, end), prior, sampling))
-                   for end in ends]
+        base = Tabular(prior.alphabet, base_tf.values(prior.alphabet))
+    table = base.values(prior.alphabet)
+    if max(table) <= 0:
+        raise DegenerateInput("base truth function is identically zero")
+    groups = _belief_groups(table, prior, sampling)
+
+    slope = math.fsum((q - p) * t for q, p, t in zip(sampling.probs, prior.probs, table))
+    if slope == 0.0:
+        return DocResult(b_star=0.0, b_prime_star=1.0, case=DocCase.PROPER_AFFIRMATION,
+                         information_bits=0.0)
+    end = 1.0 if slope > 0.0 else -1.0
+    candidates = [(0.0, 0.0),
+                  (end, average_semantic_info(belief_adjust(base, end), prior, sampling))]
+    root = _concave_root(_belief_gap(*groups, end), end)
+    if root != end:
+        candidates.append((root, _belief_objective(*groups)(root)))
 
     top = max(fx for _, fx in candidates)
     best_b, best_f = min((c for c in candidates if c[1] >= top - TIE_BITS),
@@ -345,7 +462,8 @@ def _checked_lags(lags: np.ndarray) -> tuple[float, float]:
 def _gaussian_profile(m: int, delta: float, d: float) -> np.ndarray:
     """exp(-dist^2/2d^2) at each lag of an m-cell ring, dist measured from delta.
 
-    Cached: a b-step of ``gps_fit`` evaluates one (delta, d) many times.
+    Cached: the belief step of ``gps_fit`` reads the profile at the (delta, d)
+    its spread step has just evaluated.
     The array is read-only, so no caller can change what the next one gets,
     and the cache is typed, so each entry was computed from arguments of
     the caller's own types, as an uncached call would be.
@@ -375,7 +493,7 @@ def gps_objective(observed: np.ndarray, delta: float, d: float, b: float) -> flo
     Every call checks its lag vector: one min and one sum accept a valid
     one, and only a vector that fails them is scanned again to name the
     fault.  The profile exp(-dist^2/2d^2) comes from a small cache keyed on
-    (m, delta, d), which the belief steps of ``gps_fit`` hit.  No mask is
+    (m, delta, d), which the belief steps of ``gps_fit`` also read.  No mask is
     built when every lag has mass, and below b = 1 no truth value is 0, so
     no ``-inf`` check runs.  None of this changes a bit of the result.
     """
@@ -410,17 +528,41 @@ def gps_objective(observed: np.ndarray, delta: float, d: float, b: float) -> flo
     return float(mass @ log_truth - math.log2(truth.sum() / m) * total)
 
 
+def _lag_belief_gap(lags: np.ndarray, profile: np.ndarray):
+    """``_belief_gap`` for the position model's belief at a fixed (delta, d).
+
+    The same problem on the lag alphabet: the sampling mass is the lag
+    vector h, the prior is uniform and u = G - 1 for the Gaussian profile G.
+    Returns k(b) -> (k, k') for ``_concave_root``, in numpy.  Every truth
+    value b*G + 1 - b is at least 1 - b, so below b = 1 none is 0.
+    """
+    total = float(lags.sum())
+    u = profile - 1.0
+    lp_slope = float(u.mean())
+
+    def k(b: float):
+        truth = b * profile + (1.0 - b)
+        r = lags / truth
+        s = float(r.sum())
+        h = total / s
+        return h - float(truth.mean()), h * float((r / truth) @ u) / s - lp_slope
+
+    return k
+
+
 def gps_fit(observed: np.ndarray) -> tuple[float, float, float]:
     """Recover (delta_e, d, b) of the deviation model from an observed channel.
 
     Reduces the channel to its lag distribution once (O(m^2)); every
-    objective evaluation after that is O(m).  Each evaluation calls the
-    module's ``gps_objective`` on that lag vector, which checks it with one
-    min and one sum; the belief steps hold (delta, d) fixed and so reuse its
-    cached Gaussian profile.  The integer shift is the lag with the most
-    mass; then five passes each run a Brent line search on the spread d
-    over [2, m/4] grid steps and then on the belief b, and the shift is
-    refined continuously before the fifth.  Returns (delta_hat, d_hat, b_hat).
+    evaluation after that is O(m).  The integer shift is the lag with the
+    most mass; then five passes each run a Brent line search on the spread
+    d over [2, m/4] grid steps, calling the module's ``gps_objective`` on
+    the lag vector, and then solve for the belief b.  At fixed (delta, d)
+    the belief step is a belief problem on the lag alphabet, so it is the
+    root of k = H - LP (``_lag_belief_gap``, on the cached Gaussian profile)
+    found by ``_concave_root`` on [0, 1 - 1e-9], starting from the previous
+    pass's b.  The shift is refined continuously, by a line search, before
+    the fifth pass.  Returns (delta_hat, d_hat, b_hat).
 
     On grids of at least 200 cells whose true spread is at least 4 steps,
     the recovered shift is within one grid step of the true delta_e, the
@@ -448,6 +590,6 @@ def gps_fit(observed: np.ndarray) -> tuple[float, float, float]:
                                  delta - 1.0, delta + 1.0, tol=1e-6)
         d_hat, _ = _line_max(lambda d: gps_objective(lags, delta, d, b_hat),
                              d_lo, d_hi, tol=1e-6)
-        b_hat, _ = _line_max(lambda b: gps_objective(lags, delta, d_hat, b),
-                             0.0, 1.0 - 1e-9, tol=1e-9)
+        b_hat = _concave_root(_lag_belief_gap(lags, _gaussian_profile(m, delta, d_hat)),
+                              1.0 - 1e-9, start=b_hat)
     return delta, d_hat, b_hat

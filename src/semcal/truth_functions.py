@@ -63,6 +63,12 @@ class Crisp(TruthFunction):
             raise UnknownLabel(f"{e!r} not in alphabet {self.alphabet.labels}")
         return 1.0 if e in self.positive_set else 0.0
 
+    def values(self, alphabet: Alphabet) -> tuple[float, ...]:
+        if alphabet.labels == self.alphabet.labels:
+            positive = self.positive_set
+            return tuple([1.0 if label in positive else 0.0 for label in alphabet.labels])
+        return super().values(alphabet)
+
 
 @dataclass(frozen=True)
 class Gaussian(TruthFunction):

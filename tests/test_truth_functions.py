@@ -99,6 +99,21 @@ class TestVectorPath:
         tf = Tabular(AB, (0.7, 0.2))
         assert tf.values(Alphabet(("e1", "e0"))) == (0.7, 0.2)
 
+    @given(n=st.integers(1, 40), data=st.data())
+    def test_crisp_vector_matches_pointwise(self, n, data):
+        ab = Alphabet([f"x{i}" for i in range(n)])
+        tf = Crisp(ab, data.draw(st.sets(st.sampled_from(ab.labels))))
+        pointwise = tuple(tf.value(label) for label in ab)
+        assert tf.values(ab) == pointwise
+        assert tf.values(Alphabet(ab.labels)) == pointwise    # an equal alphabet
+        permuted = Alphabet(data.draw(st.permutations(ab.labels)))
+        assert tf.values(permuted) == tuple(tf.value(label) for label in permuted)
+
+    @pytest.mark.parametrize("labels", [("x", "y"), ("e1", "e0", "e2")], ids=["other", "superset"])
+    def test_crisp_on_foreign_alphabet_raises(self, labels):
+        with pytest.raises(UnknownLabel):
+            Crisp(AB, {"e1"}).values(Alphabet(labels))
+
 
 class TestLogicalProbability:
     def test_tautology_is_one(self):
