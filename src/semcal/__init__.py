@@ -15,13 +15,12 @@ __version__ = "0.1.0"
 #: Submodule -> the public names it defines.
 _EXPORTS = {
     "confirmation": ("ContingencyTable", "DocCase", "DocResult", "RateSpec", "doc_from_rates",
-                     "doc_from_test", "doc_h1_from_table", "doc_h2_from_table",
+                     "doc_from_test", "doc_h1_from_table", "doc_h2_from_table", "gps_cep_doc",
                      "predicted_probability", "raven_increments"),
     "distributions": ("Alphabet", "Distribution", "bayes_invert", "kl_divergence",
                       "pointwise_info"),
-    "estimation": ("channel_from_samples", "empirical_conditional", "gps_cep_doc", "gps_fit",
-                   "gps_objective", "lag_distribution", "optimal_truth_function",
-                   "optimize_belief"),
+    "estimation": ("channel_from_samples", "empirical_conditional", "gps_fit", "gps_objective",
+                   "lag_distribution", "optimal_truth_function", "optimize_belief"),
     "estimation_types": ("Channel", "GpsModel", "SampleSet"),
     "semantic_info": ("average_semantic_info", "gkl_decomposition", "pointwise_semantic_info",
                       "semantic_mutual_info"),

@@ -11,8 +11,10 @@ with prior counterexample/positive masses (P0, P1) and posterior masses
 
 The achieved information always equals KL((Q1,Q0) || (P1,P0)) in bits.
 Contingency-table and sensitivity/specificity front ends reduce to these
-forms; the raven-paradox increments are the partial derivatives of b* in
-the table counts under a continuous relaxation.
+forms, and so does the circular-error claim of a position estimator
+(``gps_cep_doc``, in exact rational arithmetic); the raven-paradox
+increments are the partial derivatives of b* in the table counts under a
+continuous relaxation.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .distributions import Alphabet, Distribution, bayes_invert, kl_divergence, require_finite
 from .errors import (
+    DegenerateGeometry,
     DegenerateRates,
     EmptyColumn,
     EmptyRow,
@@ -235,6 +238,27 @@ def doc_from_test(sensitivity: float, specificity: float,
     neg_sampling = bayes_invert(prior, (1.0 - sensitivity, specificity))
     return (DocResult(*positive, kl_divergence(pos_sampling, prior)),
             DocResult(*negative, kl_divergence(neg_sampling, prior)))
+
+
+def gps_cep_doc(cep_fraction, in_circle_cells: int, total_cells: int) -> DocResult:
+    """Degree of confirmation of "the device is inside the stated circle".
+
+    Uses exact rational arithmetic: with hit probability f spread over n
+    cells against (1-f) over the N-n outside cells, b'* is the density
+    ratio p_outside/p_inside.  ``fractions`` is imported here, so that
+    ``semcal doc`` does not load it.
+    """
+    from fractions import Fraction
+
+    n = int(in_circle_cells)
+    N = int(total_cells)
+    if n <= 0 or N <= n:
+        raise DegenerateGeometry(f"need 0 < n < N, got n={n}, N={N}")
+    require_finite("cep fraction", (cep_fraction,))
+    f = Fraction(cep_fraction)
+    if not 0 < f < 1:
+        raise DegenerateGeometry(f"cep fraction must lie in (0,1), got {f}")
+    return DocResult(*doc_from_ratio(counter_rate=(1 - f) / (N - n), positive_rate=f / n))
 
 
 def predicted_probability(p_e1: float, b_prime_star: float) -> float:

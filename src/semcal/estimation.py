@@ -6,18 +6,22 @@ information as the root of a concave function, and fits the 1-D
 position-estimator deviation model by coordinate search on the semantic
 mutual information.
 
-The belief optimum.  On one sign branch the adjusted truth values are
-T_b = 1 + b*u, with u = t - 1 for b > 0 and u = t for b < 0.  Let H(b) be
-their harmonic mean under the sampling distribution Q (over the labels with
-q > 0, of total mass M) and LP(b) = E_P[T_b] the logical probability.  Then
-the information f(b) has slope f'(b) = M*k(b) / (b*H*LP*ln 2) with
-k(b) = H(b) - LP(b).  A weighted harmonic mean of positive affine functions
-is concave, so k is concave on each branch, and k(0) = 0: f is unimodal and
-its maximizer on a branch is the root of k.  ``_concave_root`` finds that
-root by a bracketed Newton iteration; ``optimize_belief`` and the belief
-steps of ``gps_fit`` both use it.  The other one-dimensional maximizations
-(the shift and spread steps of ``gps_fit``) are ``_line_max``: Brent's
-method, golden-section steps plus parabolic interpolation.
+The belief optimum.  A negative belief b in a base t gives the truth values
+1 + b*t = (1 - |b|) + |b|*(1 - t): the positive belief |b| in the Zadeh
+complement 1 - t.  So only positive beliefs are solved, on the base itself
+or on its complement (which also keeps the digits of a small 1 + b*t, for
+b near -1 and t near 1), and there the adjusted truth values are
+T_b = 1 + b*u with u = t - 1.  Let H(b) be their harmonic mean under the
+sampling distribution Q (over the labels with q > 0, of total mass M) and
+LP(b) = E_P[T_b] the logical probability.  Then the information f(b) has
+slope f'(b) = M*k(b) / (b*H*LP*ln 2) with k(b) = H(b) - LP(b).  A weighted
+harmonic mean of positive affine functions is concave, so k is concave on
+[0, 1], and k(0) = 0: f is unimodal and its maximizer is the root of k.
+``_concave_root`` finds that root by a bracketed Newton iteration;
+``optimize_belief`` and the belief steps of ``gps_fit`` both use it.  The
+other one-dimensional maximizations (the shift and spread steps of
+``gps_fit``) are ``_line_max``: Brent's method, golden-section steps plus
+parabolic interpolation.
 
 The belief solve is closed-form on the distinct base truth values: the
 sampling mass is grouped by truth value once per solve, so each evaluation
@@ -27,21 +31,19 @@ crisp base).
 numpy is imported inside the position-model functions, not at module
 load: it is the bulk of ``import semcal``, and only these functions use it.
 Their cost per call is mostly fixed overhead, so they check their inputs
-in one pass and take the long route only to name a fault, keep the last
-few Gaussian profiles in a small cache, and gather the lag distribution
-through a strided view; each of these leaves every output bit unchanged.
+in one pass and take the long route only to name a fault, and gather the
+lag distribution through a strided view; each of these leaves every
+output bit unchanged.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from collections import Counter
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .confirmation import DocCase, DocResult, doc_from_ratio
+from .confirmation import DocCase, DocResult
 from .distributions import (
     NORMALIZATION_TOLERANCE,
     Distribution,
@@ -60,7 +62,7 @@ from .errors import (
     ZeroPrior,
     ZeroRow,
 )
-from .estimation_types import Channel, SampleSet, toroidal_offset
+from .estimation_types import Channel, SampleSet, gaussian_profile
 from .semantic_info import average_semantic_info
 from .truth_functions import Crisp, Tabular, TruthFunction, belief_adjust
 
@@ -168,7 +170,7 @@ def _line_max(f, lo: float, hi: float, tol: float = 1e-9) -> tuple[float, float]
 
 
 def _concave_root(k, end: float, start: float | None = None) -> float:
-    """Maximize a unimodal f on the branch from 0 to ``end`` as the root of its k.
+    """Maximize a unimodal f on [0, ``end``] as the root of its k, for ``end`` > 0.
 
     k(b) returns (k, k') for a function that is concave on the branch with
     k(0) = 0, at least 0 from b = 0 up to the maximizer of f and below 0
@@ -178,7 +180,7 @@ def _concave_root(k, end: float, start: float | None = None) -> float:
     search runs.
 
     Otherwise each step is a Newton step on k(b)/b, the slope of the chord
-    of k from 0, which has the same root on the branch.  Near b = 0, k is
+    of k from 0, which has the same root on (0, ``end``].  Near b = 0, k is
     close to a parabola s*b - c*b**2, and Newton steps on k from past its
     small root only halve the distance to it; k(b)/b is close to the line
     s - c*b, which one Newton step solves.  The steps stay inside the
@@ -209,16 +211,16 @@ def _concave_root(k, end: float, start: float | None = None) -> float:
             return end
         else:
             near = x
-        lo, hi, mid = min(near, far), max(near, far), 0.5 * (near + far)
+        mid = 0.5 * (near + far)
         newton = math.nan
         if value is not None and value[1] * x != value[0]:
             newton = -value[0] * x / (value[1] * x - value[0])
-        width = ROOT_TOL * min(1.0, abs(end - far))
-        if hi - lo <= width or not lo < mid < hi:
-            return x + newton if lo < x + newton < hi else x
+        width = ROOT_TOL * min(1.0, end - far)
+        if far - near <= width or not near < mid < far:
+            return x + newton if near < x + newton < far else x
         if abs(newton) < width / 4.0:
             newton = math.copysign(width / 4.0, newton)
-        if lo < x + newton < hi and abs(newton) < 0.5 * abs(previous):
+        if near < x + newton < far and abs(newton) < 0.5 * abs(previous):
             previous, step = step, newton
         else:
             previous, step = step, (mid if far_seen else end) - x
@@ -230,9 +232,9 @@ def _belief_groups(table: tuple[float, ...], prior: Distribution, sampling: Dist
 
     Returns (groups, kept, mean): the (t_g, Q_g) pairs, where Q_g is the
     sampling mass of the labels with truth value t_g over labels with q > 0
-    only, their total M, and the prior mean E_P[t] of the base.
+    only, their total M, and the prior mean E_P[t] of the base.  The caller
+    has checked that prior and sampling share an alphabet.
     """
-    _require_same_alphabet(prior, sampling)
     grouped = {}
     for q, t in zip(sampling.probs, table):
         if q > 0.0:
@@ -242,10 +244,10 @@ def _belief_groups(table: tuple[float, ...], prior: Distribution, sampling: Dist
 
 
 def _belief_objective(groups, kept: float, mean: float):
-    """The average semantic information f(b) of the belief-adjusted base.
+    """The average semantic information f(b) of the grouped base at a belief b >= 0.
 
-    For b strictly inside (-1, 1) every adjusted truth value 1 + b*u and
-    the logical probability 1 + b*E_P[u] are positive, so
+    For b in [0, 1) every adjusted truth value 1 + b*u and the logical
+    probability 1 + b*E_P[u] are positive, so
 
         f(b) = sum_g Q_g*log2(1 + b*u_g) - M*log2(1 + b*E_P[u]),
 
@@ -254,8 +256,8 @@ def _belief_objective(groups, kept: float, mean: float):
     log2 = math.log2
 
     def f(b: float) -> float:
-        # 1 + b*u, written as offset + b*t: the same truth values as belief_adjust
-        offset = 1.0 - b if b >= 0.0 else 1.0
+        # 1 + b*u, written as (1 - b) + b*t: the same truth values as belief_adjust
+        offset = 1.0 - b
         total = 0.0
         for t, q in groups:
             total += q * log2(offset + b * t)
@@ -264,8 +266,8 @@ def _belief_objective(groups, kept: float, mean: float):
     return f
 
 
-def _belief_gap(groups, kept: float, mean: float, end: float):
-    """k(b) = H(b) - LP(b) and its slope on the branch toward ``end``, for ``_concave_root``.
+def _belief_gap(groups, kept: float, mean: float):
+    """k(b) = H(b) - LP(b) and its slope on [0, 1], for ``_concave_root``.
 
     With S = sum_g Q_g/T_g, H = M/S and k' = H*D/S - E_P[u], where
     D = sum_g Q_g*u_g/T_g**2.  Since u_g = (T_g - 1)/b, D = (S - S2)/b with
@@ -273,12 +275,12 @@ def _belief_gap(groups, kept: float, mean: float, end: float):
     per group and no log, gives both.  S - S2 loses digits as b nears 0,
     which only blunts the Newton steps there; the sign of k, which settles
     the bracket, does not use it.  Returns None where a truth value is 0,
-    which only happens at b = end.
+    which only happens at b = 1.
     """
-    lp_slope = mean - 1.0 if end > 0.0 else mean     # E_P[u]
+    lp_slope = mean - 1.0     # E_P[u]
 
     def k(b: float):
-        offset = 1.0 - b if end > 0.0 else 1.0
+        offset = 1.0 - b
         s = s2 = 0.0
         try:
             for t, q in groups:
@@ -311,14 +313,16 @@ def optimize_belief(base_tf: TruthFunction, prior: Distribution,
     Branch rule: both one-sided slopes at b = 0 equal
     (E_Q[t] - E_P[t]) / ln 2 for the base truth vector t, sampling Q and
     prior P.  f is unimodal, so it stays below 0 bits on the branch it falls
-    into from 0, and only the branch it rises into is solved ([0, 1] for a
-    positive slope, [-1, 0] for a negative one).  When the slope is exactly
-    0, b = 0 is the global maximum: the result is b* = 0.0 with 0 bits, and
-    nothing else is evaluated.  Otherwise the candidates are b = 0 (the
-    tautology, 0 bits), the root when it lies inside the branch, and the end
-    of the branch, b = 1 or b = -1, which ``average_semantic_info``
-    evaluates with its -inf and contradiction rules; the end of the falling
-    branch is below 0 bits too, so it is not evaluated.
+    into from 0, and only the branch it rises into is solved: c* on [0, 1]
+    for the base, b* = c*, when the slope is positive, and for its
+    complement 1 - t, b* = -c*, when it is negative.  When the slope is
+    exactly 0, b = 0 is the global maximum: the result is b* = 0.0 with
+    0 bits, and nothing else is evaluated.  Otherwise the candidates are
+    b = 0 (the tautology, 0 bits), the root when it lies inside the branch,
+    and the end of the branch, b = 1 or b = -1, which
+    ``average_semantic_info`` evaluates on the base with its -inf and
+    contradiction rules; the end of the falling branch is below 0 bits too,
+    so it is not evaluated.
 
     Tie rule: candidates within ``TIE_BITS`` of the best one tie, and the tie
     goes to the smallest |b|.  So evidence that carries no information
@@ -331,18 +335,21 @@ def optimize_belief(base_tf: TruthFunction, prior: Distribution,
     table = base.values(prior.alphabet)
     if max(table) <= 0:
         raise DegenerateInput("base truth function is identically zero")
-    groups = _belief_groups(table, prior, sampling)
+    _require_same_alphabet(prior, sampling)
 
     slope = math.fsum((q - p) * t for q, p, t in zip(sampling.probs, prior.probs, table))
     if slope == 0.0:
         return DocResult(b_star=0.0, b_prime_star=1.0, case=DocCase.PROPER_AFFIRMATION,
                          information_bits=0.0)
     end = 1.0 if slope > 0.0 else -1.0
+    if end < 0.0:    # the belief -c in t is the belief c in 1 - t
+        table = tuple([1.0 - t for t in table])
+    groups = _belief_groups(table, prior, sampling)
     candidates = [(0.0, 0.0),
                   (end, average_semantic_info(belief_adjust(base, end), prior, sampling))]
-    root = _concave_root(_belief_gap(*groups, end), end)
-    if root != end:
-        candidates.append((root, _belief_objective(*groups)(root)))
+    root = _concave_root(_belief_gap(*groups), 1.0)
+    if root != 1.0:
+        candidates.append((end * root, _belief_objective(*groups)(root)))
 
     top = max(fx for _, fx in candidates)
     best_b, best_f = min((c for c in candidates if c[1] >= top - TIE_BITS),
@@ -379,24 +386,6 @@ def channel_from_samples(samples: SampleSet) -> tuple[Channel, Distribution]:
     total = len(samples)
     prior = Distribution(samples.alphabet, [label_counts[label] / total for label in labels])
     return Channel(samples.alphabet, conditions, rows), prior
-
-
-def gps_cep_doc(cep_fraction, in_circle_cells: int, total_cells: int) -> DocResult:
-    """Degree of confirmation of "the device is inside the stated circle".
-
-    Uses exact rational arithmetic: with hit probability f spread over n
-    cells against (1-f) over the N-n outside cells, b'* is the density
-    ratio p_outside/p_inside.
-    """
-    n = int(in_circle_cells)
-    N = int(total_cells)
-    if n <= 0 or N <= n:
-        raise DegenerateGeometry(f"need 0 < n < N, got n={n}, N={N}")
-    require_finite("cep fraction", (cep_fraction,))
-    f = Fraction(cep_fraction)
-    if not 0 < f < 1:
-        raise DegenerateGeometry(f"cep fraction must lie in (0,1), got {f}")
-    return DocResult(*doc_from_ratio(counter_rate=(1 - f) / (N - n), positive_rate=f / n))
 
 
 def lag_distribution(observed: np.ndarray) -> np.ndarray:
@@ -458,24 +447,6 @@ def _checked_lags(lags: np.ndarray) -> tuple[float, float]:
     return total, lowest
 
 
-@functools.lru_cache(maxsize=8, typed=True)
-def _gaussian_profile(m: int, delta: float, d: float) -> np.ndarray:
-    """exp(-dist^2/2d^2) at each lag of an m-cell ring, dist measured from delta.
-
-    Cached: the belief step of ``gps_fit`` reads the profile at the (delta, d)
-    its spread step has just evaluated.
-    The array is read-only, so no caller can change what the next one gets,
-    and the cache is typed, so each entry was computed from arguments of
-    the caller's own types, as an uncached call would be.
-    """
-    import numpy as np
-
-    dist = toroidal_offset(np.arange(m) - delta, m)
-    profile = np.exp(-(dist**2) / (2.0 * d**2))
-    profile.flags.writeable = False
-    return profile
-
-
 def gps_objective(observed: np.ndarray, delta: float, d: float, b: float) -> float:
     """Semantic mutual information of the parametric deviation hypothesis.
 
@@ -492,10 +463,9 @@ def gps_objective(observed: np.ndarray, delta: float, d: float, b: float) -> flo
 
     Every call checks its lag vector: one min and one sum accept a valid
     one, and only a vector that fails them is scanned again to name the
-    fault.  The profile exp(-dist^2/2d^2) comes from a small cache keyed on
-    (m, delta, d), which the belief steps of ``gps_fit`` also read.  No mask is
-    built when every lag has mass, and below b = 1 no truth value is 0, so
-    no ``-inf`` check runs.  None of this changes a bit of the result.
+    fault.  No mask is built when every lag has mass, and below b = 1 no
+    truth value is 0, so no ``-inf`` check runs.  None of this changes a
+    bit of the result.
     """
     import numpy as np
 
@@ -512,7 +482,7 @@ def gps_objective(observed: np.ndarray, delta: float, d: float, b: float) -> flo
         lags = lag_distribution(lags)
         total, lowest = float(lags.sum()), lags.min()
     m = lags.shape[0]
-    truth = b * _gaussian_profile(m, delta, d) + (1.0 - b)
+    truth = b * gaussian_profile(m, delta, d) + (1.0 - b)
     if lowest > 0:    # every lag has mass
         mass, kept = lags, truth
     else:
@@ -559,7 +529,7 @@ def gps_fit(observed: np.ndarray) -> tuple[float, float, float]:
     d over [2, m/4] grid steps, calling the module's ``gps_objective`` on
     the lag vector, and then solve for the belief b.  At fixed (delta, d)
     the belief step is a belief problem on the lag alphabet, so it is the
-    root of k = H - LP (``_lag_belief_gap``, on the cached Gaussian profile)
+    root of k = H - LP (``_lag_belief_gap``, on the ``gaussian_profile``)
     found by ``_concave_root`` on [0, 1 - 1e-9], starting from the previous
     pass's b.  The shift is refined continuously, by a line search, before
     the fifth pass.  Returns (delta_hat, d_hat, b_hat).
@@ -590,6 +560,6 @@ def gps_fit(observed: np.ndarray) -> tuple[float, float, float]:
                                  delta - 1.0, delta + 1.0, tol=1e-6)
         d_hat, _ = _line_max(lambda d: gps_objective(lags, delta, d, b_hat),
                              d_lo, d_hi, tol=1e-6)
-        b_hat = _concave_root(_lag_belief_gap(lags, _gaussian_profile(m, delta, d_hat)),
+        b_hat = _concave_root(_lag_belief_gap(lags, gaussian_profile(m, delta, d_hat)),
                               1.0 - 1e-9, start=b_hat)
     return delta, d_hat, b_hat

@@ -2,9 +2,9 @@
 
 ``Channel`` (a Shannon channel P(H|E)), ``SampleSet`` (tagged evidence
 records), ``GpsModel`` (the discretized position-estimator deviation model)
-and the ``toroidal_offset`` wrap they share with ``estimation``, which
-holds the operations on them.  numpy is imported inside the GpsModel
-methods that use it, not at module load: it is the bulk of
+and the ``toroidal_offset`` wrap and ``gaussian_profile`` they share with
+``estimation``, which holds the operations on them.  numpy is imported
+inside the functions that use it, not at module load: it is the bulk of
 ``import semcal``, and only the position model needs it.
 """
 
@@ -102,6 +102,14 @@ def toroidal_offset(raw, size: int):
     return (raw + size / 2) % size - size / 2
 
 
+def gaussian_profile(m: int, delta: float, d: float) -> np.ndarray:
+    """exp(-dist^2/2d^2) at each lag of an m-cell ring, dist measured from delta."""
+    import numpy as np
+
+    dist = toroidal_offset(np.arange(m) - delta, m)
+    return np.exp(-(dist**2) / (2.0 * d**2))
+
+
 @dataclass(frozen=True)
 class GpsModel:
     """Discretized 1-D deviation model for a position estimator.
@@ -132,16 +140,10 @@ class GpsModel:
             raise OutOfRange(
                 f"floor mass {self.grid_size * self.c} leaves no room for the peak")
 
-    def _gaussian_profile(self) -> np.ndarray:
-        import numpy as np
-
-        offsets = toroidal_offset(np.arange(self.grid_size, dtype=float), self.grid_size)
-        return np.exp(-(offsets**2) / (2.0 * self.d**2))
-
     @property
     def peak_coefficient(self) -> float:
         """The k of the row model k*exp(...) + c, fixed by row normalization."""
-        profile_sum = float(self._gaussian_profile().sum())
+        profile_sum = float(gaussian_profile(self.grid_size, 0.0, self.d).sum())
         return (1.0 - self.grid_size * self.c) / profile_sum
 
     @property

@@ -16,9 +16,10 @@ from .confirmation import (
     doc_from_rates,
     doc_from_test,
     doc_h1_from_table,
+    gps_cep_doc,
     predicted_probability,
 )
-from .estimation import gps_cep_doc
+
 
 def _row(item: str, quantity: str, published, computed, tolerance,
          documented: bool = False) -> dict:

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,12 +15,14 @@ from semcal import (
     doc_from_test,
     doc_h1_from_table,
     doc_h2_from_table,
+    gps_cep_doc,
     kl_divergence,
     optimize_belief,
     predicted_probability,
     raven_increments,
 )
 from semcal.errors import (
+    DegenerateGeometry,
     DegenerateRates,
     EmptyColumn,
     EmptyRow,
@@ -216,6 +219,38 @@ class TestDocFromTest:
     def test_invalid_prior(self, prior, error):
         with pytest.raises(error):
             doc_from_test(0.917, 0.999, prior_positive=prior)
+
+
+class TestGpsCep:
+    def test_half_coverage_geometry_is_exact(self):
+        r = gps_cep_doc(Fraction(1, 2), 7, 7000)
+        assert r.b_star == Fraction(998, 999)
+
+    def test_uniform_everywhere(self):
+        assert gps_cep_doc(Fraction(1, 2), 5, 10).b_star == 0
+
+    def test_small_grid(self):
+        r = gps_cep_doc(Fraction(9, 10), 1, 10)
+        assert r.b_prime_star == Fraction(1, 81)
+
+    def test_excessive_branch_is_exact(self):
+        # half the cells hold a tenth of the mass: the circle is over-asserted
+        f, n, total = Fraction(1, 10), 5, 10
+        p1, p0 = f / n, (1 - f) / (total - n)
+        r = gps_cep_doc(f, n, total)
+        assert r.case is DocCase.EXCESSIVE_AFFIRMATION
+        assert isinstance(r.b_star, Fraction)
+        assert r.b_star == p1 / p0 - 1
+        assert r.b_prime_star == p1 / p0
+
+    @pytest.mark.parametrize("cep", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fraction(self, cep):
+        with pytest.raises(NonFinite):
+            gps_cep_doc(cep, 1, 10)
+
+    def test_degenerate_geometry(self):
+        with pytest.raises(DegenerateGeometry):
+            gps_cep_doc(Fraction(1, 2), 10, 10)
 
 
 class TestPredictedProbability:

@@ -21,10 +21,10 @@ from semcal import (
     channel_from_samples,
     doc_from_rates,
     empirical_conditional,
-    gps_cep_doc,
     gps_fit,
     gps_objective,
     lag_distribution,
+    negate,
     optimal_truth_function,
     optimize_belief,
     semantic_bayes,
@@ -32,12 +32,11 @@ from semcal import (
 )
 from fractions import Fraction
 
-from semcal import estimation
+from semcal import estimation, estimation_types
 from semcal.distributions import NORMALIZATION_TOLERANCE
 from semcal.estimation import TIE_BITS, _line_max
 from semcal.errors import (
     BeliefOutOfRange,
-    DegenerateGeometry,
     DegenerateInput,
     DuplicateLabel,
     EmptyConditionSubset,
@@ -293,6 +292,30 @@ def grid_information(table, prior, sampling, points=20001):
     return info[np.isfinite(info)]
 
 
+@st.composite
+def near_one_problems(draw):
+    """(base, prior, sampling) on 2-12 labels, every truth value within 1e-6 of 1."""
+    n = draw(st.integers(2, 12))
+    ab = Alphabet([f"x{i}" for i in range(n)])
+    masses = st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)
+    prior = Distribution(ab, normalized(draw(masses)))
+    sampling = Distribution(ab, normalized(draw(masses)))
+    gaps = draw(st.lists(st.floats(1e-9, 1e-6), min_size=n, max_size=n))
+    return Tabular(ab, [1.0 - g for g in gaps]), prior, sampling
+
+
+def exact_information(table, prior, sampling, b):
+    """Average semantic information at belief b from exact rational truth values.
+
+    Only each ratio t/LP is rounded, once, for its logarithm.
+    """
+    b = Fraction(b)
+    offset = 1 - b if b >= 0 else Fraction(1)
+    truth = [offset + b * Fraction(t) for t in table]
+    lp = sum(Fraction(p) * t for p, t in zip(prior.probs, truth))
+    return math.fsum(q * math.log2(t / lp) for q, t in zip(sampling.probs, truth) if q > 0)
+
+
 class TestOptimizeBeliefProperties:
     @settings(max_examples=200, deadline=None)
     @given(problem=st.one_of(belief_problems("crisp"), belief_problems("tabular")))
@@ -340,6 +363,33 @@ class TestOptimizeBeliefProperties:
         assert numeric.information_bits >= grid_information(
             base.table, prior, sampling).max() - 1e-9
 
+    @settings(max_examples=200, deadline=None)
+    @given(problem=st.one_of(belief_problems("crisp"), belief_problems("tabular")))
+    def test_denial_mirrors_affirmation(self, problem):
+        # the belief -c in t has the truth values of the belief c in 1 - t, so
+        # the denial's positive branch is the same solve as the base's negative
+        # one.  (Oriented this way because negate computes 1 - t as the solver
+        # does; 1 - (1 - t) can differ from t in the last bit.)
+        base, prior, sampling = problem
+        prior, sampling = with_slope_sign(base, prior, sampling, -1)
+        denial = negate(base)
+        assume(slope_at_zero(denial, prior, sampling) > 0.0)
+        affirmed = optimize_belief(base, prior, sampling)
+        denied = optimize_belief(denial, prior, sampling)
+        assert denied.b_star == -affirmed.b_star
+        assert denied.information_bits == affirmed.information_bits
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=near_one_problems())
+    def test_near_one_base_matches_exact_information(self, problem):
+        # on the negative branch 1 + b*t cancels near b = -1 for t near 1
+        base, prior, sampling = problem
+        prior, sampling = with_slope_sign(base, prior, sampling, -1)
+        r = optimize_belief(base, prior, sampling)
+        assert r.b_star <= 0.0
+        assert r.information_bits == pytest.approx(
+            exact_information(base.table, prior, sampling, r.b_star), rel=0.0, abs=1e-12)
+
 
 @st.composite
 def objective_problems(draw):
@@ -365,6 +415,11 @@ def objective_problems(draw):
     return table, prior, Distribution(ab, normalized(weights))
 
 
+def branch_table(table, sign):
+    """The table the belief solve groups on a branch: the base, or its complement for sign < 0."""
+    return tuple(table) if sign > 0 else tuple(1.0 - t for t in table)
+
+
 class TestBeliefObjective:
     # the search stays at least tol/4 = 2.5e-10 inside each branch
     @settings(max_examples=300, deadline=None)
@@ -373,13 +428,28 @@ class TestBeliefObjective:
     @example(problem=([1.0, 0.0, 0.5], Distribution(Alphabet(["x0", "x1", "x2"]), (0.2, 0.3, 0.5)),
                       Distribution(Alphabet(["x0", "x1", "x2"]), (0.0, 0.6, 0.4))),
              sign=1.0, size=1.0 - 1e-9)
+    # bases near 1 near b = -1, where 1 + b*t cancels
+    @example(problem=([0.999999999, 0.999999999], Distribution(Alphabet(["x0", "x1"]),
+                                                               (0.344, 0.656)),
+                      Distribution(Alphabet(["x0", "x1"]), (0.864, 0.136))),
+             sign=-1.0, size=0.999999999)
+    @example(problem=([0.0, 0.999999999],
+                      Distribution(Alphabet(["x0", "x1"]),
+                                   (0.2180618212370913, 0.7819381787629087)),
+                      Distribution(Alphabet(["x0", "x1"]),
+                                   (0.07625980783542242, 0.9237401921645776))),
+             sign=-1.0, size=0.999999999)
     def test_matches_average_semantic_info(self, problem, sign, size):
+        # the belief -size in t is the belief size in 1 - t.  The reference takes
+        # that form too: belief_adjust(t, -size) computes 1 - size*t, which loses
+        # up to 7e-10 bits to cancellation on the second example above
         table, prior, sampling = problem
-        b = sign * size
-        f = estimation._belief_objective(*estimation._belief_groups(tuple(table), prior, sampling))
-        expected = average_semantic_info(belief_adjust(Tabular(prior.alphabet, table), b),
+        branch = branch_table(table, sign)
+        groups = estimation._belief_groups(branch, prior, sampling)
+        expected = average_semantic_info(belief_adjust(Tabular(prior.alphabet, branch), size),
                                          prior, sampling)
-        assert f(b) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert estimation._belief_objective(*groups)(size) == pytest.approx(
+            expected, rel=1e-12, abs=1e-12)
 
 
 def branch_problems():
@@ -395,11 +465,12 @@ class TestBeliefGap:
     """k = H - LP, whose root on a branch ``_concave_root`` finds."""
 
     @settings(max_examples=200, deadline=None)
-    @given(problem=branch_problems(), end=st.sampled_from([1.0, -1.0]))
-    def test_concave_with_matching_slope(self, problem, end):
+    @given(problem=branch_problems(), sign=st.sampled_from([1.0, -1.0]))
+    def test_concave_with_matching_slope(self, problem, sign):
         table, prior, sampling = problem
-        k = estimation._belief_gap(*estimation._belief_groups(tuple(table), prior, sampling), end)
-        grid = [end * i / 64 for i in range(1, 64)]
+        k = estimation._belief_gap(*estimation._belief_groups(branch_table(table, sign), prior,
+                                                              sampling))
+        grid = [i / 64 for i in range(1, 64)]
         values = [k(b)[0] for b in grid]
         for left, mid, right in zip(values, values[1:], values[2:]):
             assert left - 2.0 * mid + right <= 1e-12
@@ -409,21 +480,22 @@ class TestBeliefGap:
             assert k(b)[1] == pytest.approx(difference, rel=1e-5, abs=1e-7)
 
     @settings(max_examples=200, deadline=None)
-    @given(problem=branch_problems(), end=st.sampled_from([1.0, -1.0]),
+    @given(problem=branch_problems(), sign=st.sampled_from([1.0, -1.0]),
            size=st.floats(0.05, 0.95))
-    def test_information_slope(self, problem, end, size):
-        # f'(b) = M*k/(b*H*LP*ln 2) against a central difference of the information
+    def test_information_slope(self, problem, sign, size):
+        # f'(b) = M*k/(b*H*LP*ln 2) against a central difference of the
+        # information at the belief sign*b in the base
         table, prior, sampling = problem
-        b = end * size
-        groups, kept, mean = estimation._belief_groups(tuple(table), prior, sampling)
-        gap, _ = estimation._belief_gap(groups, kept, mean, end)(b)
-        offset = 1.0 - b if b >= 0.0 else 1.0
+        b = size
+        groups, kept, mean = estimation._belief_groups(branch_table(table, sign), prior, sampling)
+        gap, _ = estimation._belief_gap(groups, kept, mean)(b)
+        offset = 1.0 - b
         harmonic = kept / math.fsum(q / (offset + b * t) for t, q in groups)
         slope = kept * gap / (b * harmonic * (offset + b * mean) * math.log(2.0))
         base = Tabular(prior.alphabet, table)
 
         def info(x):
-            return average_semantic_info(belief_adjust(base, x), prior, sampling)
+            return average_semantic_info(belief_adjust(base, sign * x), prior, sampling)
 
         h = 1e-6
         assert slope == pytest.approx((info(b + h) - info(b - h)) / (2.0 * h),
@@ -436,11 +508,10 @@ class TestBeliefGap:
         table, prior, sampling = problem
         slope = slope_at_zero(Tabular(prior.alphabet, table), prior, sampling)
         assume(slope != 0.0)
-        end = math.copysign(1.0, slope)
-        groups = estimation._belief_groups(tuple(table), prior, sampling)
+        groups = estimation._belief_groups(branch_table(table, slope), prior, sampling)
         f = estimation._belief_objective(*groups)
-        root = estimation._concave_root(estimation._belief_gap(*groups, end), end)
-        _, brent = _line_max(f, min(0.0, end), max(0.0, end))
+        root = estimation._concave_root(estimation._belief_gap(*groups), 1.0)
+        _, brent = _line_max(f, 0.0, 1.0)
         try:
             bits = f(root)
         except ValueError:      # log2(0): the logical probability underflows at the end
@@ -453,13 +524,13 @@ class TestBeliefGap:
     def test_lag_gap_matches_grouped_gap(self, m, seed, zero_share, delta, d, b):
         # the position model's belief step is a belief problem on the lag alphabet
         lags = lag_distribution(random_channel(m, seed, zero_share))
-        profile = estimation._gaussian_profile(m, delta, d)
+        profile = estimation_types.gaussian_profile(m, delta, d)
         ab = Alphabet([f"k{i}" for i in range(m)])
         uniform = Distribution(ab, [1.0 / m] * m)
         groups = estimation._belief_groups(tuple(profile.tolist()), uniform,
                                            Distribution(ab, lags.tolist()))
         gap, slope = estimation._lag_belief_gap(lags, profile)(b)
-        expected_gap, expected_slope = estimation._belief_gap(*groups, 1.0)(b)
+        expected_gap, expected_slope = estimation._belief_gap(*groups)(b)
         assert gap == pytest.approx(expected_gap, rel=1e-9, abs=1e-12)
         assert slope == pytest.approx(expected_slope, rel=1e-8, abs=1e-10)
 
@@ -620,38 +691,6 @@ def test_shape_and_range_misuse_error_class(build, error):
     with pytest.raises(error) as info:
         build()
     assert info.value.exit_code == 1
-
-
-class TestGpsCep:
-    def test_half_coverage_geometry_is_exact(self):
-        r = gps_cep_doc(Fraction(1, 2), 7, 7000)
-        assert r.b_star == Fraction(998, 999)
-
-    def test_uniform_everywhere(self):
-        assert gps_cep_doc(Fraction(1, 2), 5, 10).b_star == 0
-
-    def test_small_grid(self):
-        r = gps_cep_doc(Fraction(9, 10), 1, 10)
-        assert r.b_prime_star == Fraction(1, 81)
-
-    def test_excessive_branch_is_exact(self):
-        # half the cells hold a tenth of the mass: the circle is over-asserted
-        f, n, total = Fraction(1, 10), 5, 10
-        p1, p0 = f / n, (1 - f) / (total - n)
-        r = gps_cep_doc(f, n, total)
-        assert r.case is DocCase.EXCESSIVE_AFFIRMATION
-        assert isinstance(r.b_star, Fraction)
-        assert r.b_star == p1 / p0 - 1
-        assert r.b_prime_star == p1 / p0
-
-    @pytest.mark.parametrize("cep", [math.nan, math.inf, -math.inf])
-    def test_non_finite_fraction(self, cep):
-        with pytest.raises(NonFinite):
-            gps_cep_doc(cep, 1, 10)
-
-    def test_degenerate_geometry(self):
-        with pytest.raises(DegenerateGeometry):
-            gps_cep_doc(Fraction(1, 2), 10, 10)
 
 
 class TestGpsFit:
@@ -875,7 +914,7 @@ def index_gather(observed):
 
 
 def masked_objective(lags, delta, d, b):
-    """gps_objective on a lag vector without the profile cache or the shortcuts."""
+    """gps_objective on a lag vector without the shortcuts."""
     m = lags.shape[0]
     dist = (np.arange(m) - delta + m / 2) % m - m / 2
     truth = b * np.exp(-(dist**2) / (2.0 * d**2)) + (1.0 - b)
@@ -888,7 +927,7 @@ def masked_objective(lags, delta, d, b):
 
 
 class TestGpsFastPaths:
-    """The strided gather, the one-pass checks and the profile cache change no bit."""
+    """The strided gather and the one-pass checks change no bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(m=st.integers(8, 64), seed=st.integers(0, 2**32 - 1), zero_share=st.floats(0.0, 0.95))
@@ -916,23 +955,6 @@ class TestGpsFastPaths:
         spaced[::2] = lags
         for vector in (lags, spaced[::2]):    # contiguous and strided
             assert gps_objective(vector, delta, d, b) == masked_objective(lags, delta, d, b)
-
-    def test_profile_cache_leaks_no_state(self):
-        lags = lag_distribution(_GOOD_CHANNEL)
-        params = [(1.5, 3.0), (-2.25, 7.0)]
-        beliefs = (0.3, 0.9, 1.0)
-        first = {}
-        for delta, d in params:
-            estimation._gaussian_profile.cache_clear()
-            first[delta, d] = [gps_objective(lags, delta, d, b) for b in beliefs]
-        estimation._gaussian_profile.cache_clear()
-        for delta, d in params + params[:1]:
-            assert [gps_objective(lags, delta, d, b) for b in beliefs] == first[delta, d]
-        assert estimation._gaussian_profile.cache_info().hits > 0
-        profile = estimation._gaussian_profile(32, 1.5, 3.0)
-        assert not profile.flags.writeable
-        with pytest.raises(ValueError):
-            profile[0] = 0.0
 
 
 def _with_entry(values, position, value):

@@ -91,7 +91,7 @@ print(json.dumps({"before": before, "status": status, "after": loaded()}))
 
 SHELL = ["semcal", "semcal.cli", "semcal.confirmation", "semcal.distributions", "semcal.errors"]
 INFO = [*SHELL, "semcal.semantic_info", "semcal.truth_functions"]
-SEARCHES = [*INFO, "fractions", "semcal.estimation", "semcal.estimation_types"]
+SEARCHES = [*INFO, "semcal.estimation", "semcal.estimation_types"]
 
 # name: (argv, exit status, what the command leaves loaded among semcal.*, fractions, numpy)
 LOADS = {
@@ -103,7 +103,7 @@ LOADS = {
     "info": (NUMPY_FREE["info"], 0, INFO),
     "msie-samples": (NUMPY_FREE["msie-samples"], 0, SEARCHES),
     "msie-gps": (["msie", "--gps", "{dir}/gps.json"], 0, [*SEARCHES, "numpy"]),
-    "reproduce": (["reproduce"], 0, [*SEARCHES, "semcal.reproduce"]),
+    "reproduce": (["reproduce"], 0, [*SHELL, "fractions", "semcal.reproduce"]),
 }
 
 
