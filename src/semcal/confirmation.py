@@ -20,11 +20,11 @@ continuous relaxation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
-from .distributions import Alphabet, Distribution, bayes_invert, kl_divergence, require_finite
+from .distributions import (Alphabet, Distribution, Frozen, bayes_invert, kl_divergence,
+                            require_finite)
 from .errors import (
     DegenerateGeometry,
     DegenerateRates,
@@ -50,8 +50,7 @@ class DocCase(str, Enum):
     EXCESSIVE_NEGATION = "excessive-negation"
 
 
-@dataclass(frozen=True)
-class DocResult:
+class DocResult(Frozen):
     """An optimized degree of belief and the information it achieves.
 
     ``b_star`` and ``b_prime_star`` are ``Fraction`` when the rates were
@@ -61,18 +60,24 @@ class DocResult:
     b_star: float | Fraction
     b_prime_star: float | Fraction
     case: DocCase
-    information_bits: Optional[float] = None
+    information_bits: Optional[float]
+
+    def __init__(self, b_star: float | Fraction, b_prime_star: float | Fraction, case: DocCase,
+                 information_bits: Optional[float] = None):
+        object.__setattr__(self, "b_star", b_star)
+        object.__setattr__(self, "b_prime_star", b_prime_star)
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "information_bits", information_bits)
 
 
-@dataclass(frozen=True)
-class RateSpec:
+class RateSpec(Frozen):
     """Prior and posterior (counterexample, positive-example) mass pairs."""
 
     prior: tuple[float, float]       # (P0, P1)
     posterior: tuple[float, float]   # (Q0, Q1)
 
-    def __post_init__(self):
-        for name, pair in (("prior", self.prior), ("posterior", self.posterior)):
+    def __init__(self, prior: tuple[float, float], posterior: tuple[float, float]):
+        for name, pair in (("prior", prior), ("posterior", posterior)):
             if len(pair) != 2:
                 raise IndexMismatch(f"{name} must be a pair, got {pair}")
             require_finite(name, pair)
@@ -80,10 +85,11 @@ class RateSpec:
                 raise NegativeMass(f"{name} pair has negative mass: {pair}")
             if abs(math.fsum(pair) - 1.0) > 1e-9:
                 raise NotNormalized(f"{name} pair sums to {math.fsum(pair)}, not 1")
+        object.__setattr__(self, "prior", prior)
+        object.__setattr__(self, "posterior", posterior)
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
+class ContingencyTable(Frozen):
     """2x2 counts: n11 positive examples, n10 counterexamples of s1 -> s2."""
 
     n11: float
@@ -91,13 +97,17 @@ class ContingencyTable:
     n01: float
     n00: float
 
-    def __post_init__(self):
-        counts = (self.n11, self.n10, self.n01, self.n00)
+    def __init__(self, n11: float, n10: float, n01: float, n00: float):
+        counts = (n11, n10, n01, n00)
         require_finite("counts", counts)
         if any(c < 0 for c in counts):
             raise NegativeMass(f"counts must be >= 0: {counts}")
         if sum(counts) <= 0:
             raise EmptyRow("contingency table is empty")
+        object.__setattr__(self, "n11", n11)
+        object.__setattr__(self, "n10", n10)
+        object.__setattr__(self, "n01", n01)
+        object.__setattr__(self, "n00", n00)
 
     @property
     def total(self) -> float:

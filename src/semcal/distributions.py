@@ -8,7 +8,6 @@ The convention 0*log2(0/p) = 0 is used throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import (
@@ -38,8 +37,49 @@ def require_finite(what: str, values) -> None:
         raise NonFinite(f"{what} must be finite, got {values}")
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Frozen:
+    """Base of the immutable value classes.
+
+    A subclass declares its fields as class annotations, in order (they
+    become ``_fields``), and sets each one in ``__init__`` with
+    ``object.__setattr__``.  Instances are equal when they are of the same
+    class with equal fields, hash on those fields, print as
+    ``Name(field=value, ...)`` and refuse assignment and deletion.  Nothing
+    is generated or ``exec``'d at class creation, and no module beyond the
+    interpreter's start-up set is imported, which keeps a CLI process fast.
+    No ``__slots__``: ``pickle`` and ``copy`` restore the instance
+    ``__dict__`` directly, where a slot restore would call ``__setattr__``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Alphabet(Frozen):
     """An ordered finite set of evidence labels."""
 
     labels: tuple[str, ...]
@@ -70,8 +110,7 @@ class Alphabet:
             raise UnknownLabel(f"label {label!r} not in alphabet {self.labels}") from None
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(Frozen):
     """A probability distribution over an :class:`Alphabet`.
 
     Probabilities within ``NORMALIZATION_TOLERANCE`` of summing to 1 are
@@ -80,7 +119,7 @@ class Distribution:
     """
 
     alphabet: Alphabet
-    probs: tuple[float, ...] = field(default=())
+    probs: tuple[float, ...]
 
     def __init__(self, alphabet: Alphabet, probs: Sequence[float]):
         probs = tuple(float(p) for p in probs)

@@ -11,10 +11,10 @@ inside the functions that use it, not at module load: it is the bulk of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from typing import TYPE_CHECKING, Sequence
 
-from .distributions import NORMALIZATION_TOLERANCE, Alphabet, require_finite
+from .distributions import NORMALIZATION_TOLERANCE, Alphabet, Frozen, require_finite
 from .errors import (
     DegenerateGeometry,
     DuplicateLabel,
@@ -30,8 +30,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class Channel:
+class Channel(Frozen):
     """A Shannon channel P(H|E): one selecting-rule row per hypothesis.
 
     ``matrix[j][i]`` is P(h_j | e_i).  For each fixed evidence letter the
@@ -78,8 +77,7 @@ class Channel:
             raise UnknownLabel(f"unknown hypothesis {name!r}") from None
 
 
-@dataclass(frozen=True)
-class SampleSet:
+class SampleSet(Frozen):
     """Observed (condition tag, evidence label) records."""
 
     alphabet: Alphabet
@@ -110,8 +108,7 @@ def gaussian_profile(m: int, delta: float, d: float) -> np.ndarray:
     return np.exp(-(dist**2) / (2.0 * d**2))
 
 
-@dataclass(frozen=True)
-class GpsModel:
+class GpsModel(Frozen):
     """Discretized 1-D deviation model for a position estimator.
 
     The reported position given a true cell follows a Gaussian around the
@@ -125,20 +122,28 @@ class GpsModel:
     d: float
     c: float
 
-    def __post_init__(self):
-        if self.grid_size < 2:
-            raise DegenerateGeometry(f"grid_size must be >= 2, got {self.grid_size}")
-        require_finite("delta_e, d and c", (self.delta_e, self.d, self.c))
-        if self.d <= 0:
-            raise OutOfRange(f"standard deviation must be positive, got {self.d}")
-        if self.d < 2.0:
-            raise GridTooCoarse(
-                f"standard deviation {self.d} is below 2 grid steps")
-        if self.c < 0:
-            raise NegativeMass(f"long-tail floor must be >= 0, got {self.c}")
-        if self.grid_size * self.c >= 1.0:
-            raise OutOfRange(
-                f"floor mass {self.grid_size * self.c} leaves no room for the peak")
+    def __init__(self, grid_size: int, delta_e: float, d: float, c: float):
+        try:
+            operator.index(grid_size)
+        except TypeError:
+            raise OutOfRange(f"grid_size must be an integer, got {grid_size!r}") from None
+        if isinstance(grid_size, bool):
+            raise OutOfRange(f"grid_size must be an integer, got {grid_size!r}")
+        if grid_size < 2:
+            raise DegenerateGeometry(f"grid_size must be >= 2, got {grid_size}")
+        require_finite("delta_e, d and c", (delta_e, d, c))
+        if d <= 0:
+            raise OutOfRange(f"standard deviation must be positive, got {d}")
+        if d < 2.0:
+            raise GridTooCoarse(f"standard deviation {d} is below 2 grid steps")
+        if c < 0:
+            raise NegativeMass(f"long-tail floor must be >= 0, got {c}")
+        if grid_size * c >= 1.0:
+            raise OutOfRange(f"floor mass {grid_size * c} leaves no room for the peak")
+        object.__setattr__(self, "grid_size", grid_size)
+        object.__setattr__(self, "delta_e", delta_e)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "c", c)
 
     @property
     def peak_coefficient(self) -> float:

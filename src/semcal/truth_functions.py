@@ -7,17 +7,16 @@ adjustment, which mixes a hypothesis with the tautology (positive belief)
 or suppresses it toward its negation structure (negative belief):
 
     belief b >= 0:  (1 - b) + b * t(e)
-    belief b <  0:  1 + b * t(e)
+    belief b <  0:  (1 - |b|) + |b| * (1 - t(e))   (= 1 + b * t(e))
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .distributions import Alphabet, Distribution, require_finite
+from .distributions import Alphabet, Distribution, Frozen, require_finite
 from .errors import (
     AlphabetMismatch,
     BeliefOutOfRange,
@@ -43,8 +42,7 @@ class TruthFunction(ABC):
         return tuple(self.value(label) for label in alphabet)
 
 
-@dataclass(frozen=True)
-class Crisp(TruthFunction):
+class Crisp(TruthFunction, Frozen):
     """Classical (0/1) truth function of a subset of the alphabet."""
 
     alphabet: Alphabet
@@ -70,8 +68,7 @@ class Crisp(TruthFunction):
         return super().values(alphabet)
 
 
-@dataclass(frozen=True)
-class Gaussian(TruthFunction):
+class Gaussian(TruthFunction, Frozen):
     """Bell-shaped truth function of a numeric estimation "E is about center".
 
     Evaluates on real numbers directly.  For discrete labels, ``positions``
@@ -81,12 +78,16 @@ class Gaussian(TruthFunction):
 
     center: float
     stddev: float
-    positions: Mapping[str, float] | None = None
+    positions: Mapping[str, float] | None
 
-    def __post_init__(self):
-        require_finite("center and stddev", (self.center, self.stddev))
-        if self.stddev <= 0:
-            raise OutOfRange(f"stddev must be positive, got {self.stddev}")
+    def __init__(self, center: float, stddev: float,
+                 positions: Mapping[str, float] | None = None):
+        require_finite("center and stddev", (center, stddev))
+        if stddev <= 0:
+            raise OutOfRange(f"stddev must be positive, got {stddev}")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "stddev", stddev)
+        object.__setattr__(self, "positions", positions)
 
     def _position(self, e) -> float:
         if isinstance(e, (int, float)):
@@ -103,8 +104,7 @@ class Gaussian(TruthFunction):
         return math.exp(-((x - self.center) ** 2) / (2.0 * self.stddev**2))
 
 
-@dataclass(frozen=True)
-class Tabular(TruthFunction):
+class Tabular(TruthFunction, Frozen):
     """Truth function given explicitly per label."""
 
     alphabet: Alphabet
@@ -130,33 +130,43 @@ class Tabular(TruthFunction):
         return super().values(alphabet)
 
 
-@dataclass(frozen=True)
-class BeliefAdjusted(TruthFunction):
+class BeliefAdjusted(TruthFunction, Frozen):
     """A base hypothesis softened (b >= 0) or inverted (b < 0) by a belief."""
 
     base: TruthFunction
     belief: float
 
-    def __post_init__(self):
-        if not -1.0 <= self.belief <= 1.0:
-            raise BeliefOutOfRange(f"belief must lie in [-1,1], got {self.belief}")
+    def __init__(self, base: TruthFunction, belief: float):
+        if not -1.0 <= belief <= 1.0:
+            raise BeliefOutOfRange(f"belief must lie in [-1,1], got {belief}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "belief", belief)
 
-    def _offset(self) -> float:
-        return 1.0 - self.belief if self.belief >= 0 else 1.0
-
+    # A negative belief -c is the belief c in the complement 1 - t: written
+    # (1 - c) + c*(1 - t), not 1 - c*t, it keeps its relative accuracy where
+    # c and t are both near 1, and equals 1 - t exactly at c = 1.
     def value(self, e) -> float:
-        return self._offset() + self.belief * self.base.value(e)
+        b, t = self.belief, self.base.value(e)
+        if b < 0:
+            b, t = -b, 1.0 - t
+        return (1.0 - b) + b * t
 
     def values(self, alphabet: Alphabet) -> tuple[float, ...]:
-        offset, b = self._offset(), self.belief
-        return tuple(offset + b * t for t in self.base.values(alphabet))
+        b, truth = self.belief, self.base.values(alphabet)
+        if b < 0:
+            offset, c = 1.0 + b, -b
+            return tuple(offset + c * (1.0 - t) for t in truth)
+        offset = 1.0 - b
+        return tuple(offset + b * t for t in truth)
 
 
-@dataclass(frozen=True)
-class Negated(TruthFunction):
+class Negated(TruthFunction, Frozen):
     """Zadeh complement 1 - t(e)."""
 
     base: TruthFunction
+
+    def __init__(self, base: TruthFunction):
+        object.__setattr__(self, "base", base)
 
     def value(self, e) -> float:
         return 1.0 - self.base.value(e)

@@ -256,6 +256,15 @@ class TestMsieCommand:
         assert rec["outputs"]["b_hat"] == pytest.approx(
             rec["outputs"]["b_reference"], abs=0.02)
 
+    @pytest.mark.parametrize("grid_size", [64.5, True, "64"])
+    def test_gps_grid_size_must_be_an_integer(self, capsys, tmp_path, grid_size):
+        path = tmp_path / "gps.json"
+        path.write_text(json.dumps({"grid_size": grid_size, "delta_e": 3, "d": 5.0, "c": 0.001}))
+        assert main(["msie", "--gps", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "grid_size must be an integer" in captured.err
+
 
 class TestReadPairs:
     def test_skips_comments_and_blank_lines(self, tmp_path):

@@ -683,6 +683,10 @@ MISUSE_CASES = {
                                    IndexMismatch),
     "gps-floor-fills-grid": (lambda: GpsModel(grid_size=50, delta_e=0.0, d=5.0, c=0.02),
                              OutOfRange),
+    "gps-fractional-grid": (lambda: GpsModel(grid_size=64.5, delta_e=3, d=5.0, c=0.001),
+                            OutOfRange),
+    "gps-float-grid": (lambda: GpsModel(grid_size=64.0, delta_e=3, d=5.0, c=0.001), OutOfRange),
+    "gps-bool-grid": (lambda: GpsModel(grid_size=True, delta_e=3, d=5.0, c=0.001), OutOfRange),
 }
 
 
@@ -746,6 +750,11 @@ class TestGpsFit:
 
 
 class TestGpsModelChannel:
+    def test_numpy_integer_grid_size(self):
+        model = GpsModel(grid_size=np.int64(64), delta_e=3, d=5.0, c=0.001)
+        assert model == GpsModel(grid_size=64, delta_e=3, d=5.0, c=0.001)
+        assert model.channel_matrix().shape == (64, 64)
+
     @pytest.mark.parametrize("m, delta_e, d, c", [
         (200, 3, 6.0, 0.001), (201, -2.5, 5.0, 0.0), (64, 7.25, 4.0, 0.002), (9, 0.5, 2.0, 0.01),
     ])

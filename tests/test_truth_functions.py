@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,7 @@ from semcal import (
     Distribution,
     Gaussian,
     Tabular,
+    average_semantic_info,
     bayes_invert,
     belief_adjust,
     contradiction,
@@ -197,6 +199,25 @@ class TestBeliefAdjust:
         tf = Crisp(AB, {"e1"})
         assert belief_adjust(tf, -1.0).values(AB) == pytest.approx(
             negate(tf).values(AB))
+
+    @given(tabular_values)
+    def test_full_negative_belief_keeps_the_bits_of_one_plus_b_t(self, values):
+        ab = Alphabet([f"x{i}" for i in range(len(values))])
+        tf = belief_adjust(Tabular(ab, values), -1.0)
+        assert tf.values(ab) == tuple(1.0 + -1.0 * t for t in values)
+
+    def test_negative_belief_near_minus_one_does_not_cancel(self):
+        # 1 + b*t loses ~8 digits here (b near -1, t near 1); the information
+        # read 6.7e-10 bits off the exact value in that form.
+        base = Tabular(AB, (0.0, 0.999999999))
+        prior = Distribution(AB, (0.2180618212370913, 0.7819381787629087))
+        sampling = Distribution(AB, (0.07625980783542242, 0.9237401921645776))
+        b = -0.999999999
+        truth = [1 + Fraction(b) * Fraction(t) for t in base.table]
+        lp = sum(Fraction(p) * t for p, t in zip(prior.probs, truth))
+        exact = sum(q * math.log2(t / lp) for q, t in zip(sampling.probs, truth))
+        bits = average_semantic_info(belief_adjust(base, b), prior, sampling)
+        assert abs(bits - exact) < 1e-12
 
 
 class TestNegationTheorems:
