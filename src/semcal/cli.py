@@ -250,13 +250,16 @@ def cmd_msie(args, record: dict) -> int:
         try:
             with open(args.gps) as fh:
                 scenario = json.load(fh)
+            for key in ("delta_e", "d", "c"):
+                if type(scenario[key]) not in (int, float):  # a JSON bool or string
+                    raise ParseError(f"{key} must be a number, got {json.dumps(scenario[key])}")
             model = GpsModel(
                 grid_size=scenario["grid_size"],
                 delta_e=float(scenario["delta_e"]),
                 d=float(scenario["d"]),
                 c=float(scenario["c"]),
             )
-        except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad scenario file {args.gps}: {exc}") from None
         inputs["gps"] = scenario
         outputs["delta_e_hat"], outputs["d_hat"], outputs["b_hat"] = estimation.gps_fit(

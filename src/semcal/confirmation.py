@@ -9,7 +9,8 @@ with prior counterexample/positive masses (P0, P1) and posterior masses
     Q0/Q1 <= P0/P1:  b'* = (Q0/Q1)/(P0/P1),  b* = 1 - b'*   (affirmation holds)
     Q0/Q1 >  P0/P1:  b'' = (P0/P1)/(Q0/Q1),  b* = b'' - 1   (over-asserted)
 
-The achieved information always equals KL((Q1,Q0) || (P1,P0)) in bits.
+The achieved information always equals KL((Q1,Q0) || (P1,P0)) in bits, and
+it is computed as that divergence, by the one KL routine in ``distributions``.
 Contingency-table and sensitivity/specificity front ends reduce to these
 forms, and so does the circular-error claim of a position estimator
 (``gps_cep_doc``, in exact rational arithmetic); the raven-paradox
@@ -19,12 +20,11 @@ continuous relaxation.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
-from .distributions import (Alphabet, Distribution, Frozen, bayes_invert, kl_divergence,
-                            require_finite)
+from .distributions import (Alphabet, Distribution, Frozen, _kl_bits, bayes_invert,
+                            kl_divergence, require_finite, require_masses)
 from .errors import (
     DegenerateGeometry,
     DegenerateRates,
@@ -32,7 +32,6 @@ from .errors import (
     EmptyRow,
     IndexMismatch,
     NegativeMass,
-    NotNormalized,
     OutOfRange,
     UnknownKind,
     ZeroDenominator,
@@ -77,14 +76,10 @@ class RateSpec(Frozen):
     posterior: tuple[float, float]   # (Q0, Q1)
 
     def __init__(self, prior: tuple[float, float], posterior: tuple[float, float]):
-        for name, pair in (("prior", prior), ("posterior", posterior)):
+        for name, pair in (("prior masses", prior), ("posterior masses", posterior)):
             if len(pair) != 2:
                 raise IndexMismatch(f"{name} must be a pair, got {pair}")
-            require_finite(name, pair)
-            if any(v < 0 for v in pair):
-                raise NegativeMass(f"{name} pair has negative mass: {pair}")
-            if abs(math.fsum(pair) - 1.0) > 1e-9:
-                raise NotNormalized(f"{name} pair sums to {math.fsum(pair)}, not 1")
+            require_masses(name, pair)
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "posterior", posterior)
 
@@ -132,24 +127,6 @@ def doc_from_ratio(counter_rate, positive_rate) -> tuple[float, float, DocCase]:
     return b_pp - 1, b_pp, DocCase.EXCESSIVE_AFFIRMATION
 
 
-def _two_mass_info(b_prime: float, q_doubted: float, q_held: float,
-                   p_doubted: float, p_held: float) -> float:
-    """Average information of a two-valued hypothesis at disbelief b'.
-
-    T is 1 on the held outcome and b' on the doubted one, so the logical
-    probability is b'*P_doubted + P_held.  The affirmation doubts the
-    counterexamples; its excessive branch doubts the positive examples.
-    Zero-mass terms drop by the 0*log convention.
-    """
-    lp = b_prime * p_doubted + p_held
-    total = 0.0
-    if q_held > 0:
-        total += q_held * math.log2(1.0 / lp)
-    if q_doubted > 0:
-        total += q_doubted * (math.log2(b_prime / lp) if b_prime > 0 else float("-inf"))
-    return total
-
-
 def doc_from_rates(spec: RateSpec, hypothesis: str = "affirmative") -> DocResult:
     """Closed-form degree of confirmation from mass pairs.
 
@@ -175,16 +152,13 @@ def doc_from_rates(spec: RateSpec, hypothesis: str = "affirmative") -> DocResult
     # Selection rates up to a common factor: Q0/P0 and Q1/P1, cross-multiplied
     # so that Q0/Q1 <= P0/P1 is the proper branch (safe for zero masses).
     b, b_prime, case = doc_from_ratio(q0 * p1, q1 * p0)
-    if case is DocCase.PROPER_AFFIRMATION:
-        info = _two_mass_info(b_prime, q0, q1, p0, p1)
-    else:
-        info = _two_mass_info(b_prime, q1, q0, p1, p0)
 
     if hypothesis == "denial":
         b = -b
         case = (DocCase.EXCESSIVE_NEGATION if case is DocCase.PROPER_AFFIRMATION
                 else DocCase.PROPER_NEGATION)
-    return DocResult(b_star=b, b_prime_star=b_prime, case=case, information_bits=info)
+    return DocResult(b_star=b, b_prime_star=b_prime, case=case,
+                     information_bits=_kl_bits(spec.posterior, spec.prior))
 
 
 def rates_for_h1(t: ContingencyTable) -> RateSpec:

@@ -37,6 +37,21 @@ def require_finite(what: str, values) -> None:
         raise NonFinite(f"{what} must be finite, got {values}")
 
 
+def require_masses(what: str, values) -> float:
+    """Return the fsum of non-empty ``values`` after checking they are probability masses.
+
+    Raises NonFinite, then NegativeMass, then NotNormalized when the sum is
+    more than ``NORMALIZATION_TOLERANCE`` from 1.
+    """
+    require_finite(what, values)
+    if min(values) < 0:
+        raise NegativeMass(f"{what} must be >= 0, got {values}")
+    total = math.fsum(values)
+    if abs(total - 1.0) > NORMALIZATION_TOLERANCE:
+        raise NotNormalized(f"{what} sum to {total}, not 1")
+    return total
+
+
 class Frozen:
     """Base of the immutable value classes.
 
@@ -126,12 +141,7 @@ class Distribution(Frozen):
         if len(probs) != len(alphabet):
             raise AlphabetMismatch(
                 f"{len(probs)} probabilities for {len(alphabet)} labels")
-        require_finite("probabilities", probs)
-        if any(p < 0 for p in probs):
-            raise NegativeMass(f"negative probability in {probs}")
-        total = math.fsum(probs)
-        if abs(total - 1.0) > NORMALIZATION_TOLERANCE:
-            raise NotNormalized(f"probabilities sum to {total}, not 1")
+        total = require_masses("probabilities", probs)
         probs = tuple(p / total for p in probs)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "probs", probs)
@@ -157,21 +167,30 @@ def _require_same_alphabet(a: Distribution, b: Distribution) -> None:
             f"alphabets differ: {a.alphabet.labels} vs {b.alphabet.labels}")
 
 
-def kl_divergence(q: Distribution, p: Distribution) -> float:
-    """Kullback-Leibler divergence KL(q || p) in bits.
+def _kl_bits(q: Sequence[float], p: Sequence[float]) -> float:
+    """KL(q || p) in bits over two mass sequences of the same length.
 
-    Requires p to dominate q; terms with q_i = 0 contribute nothing.
+    For masses that sum to 1 a negative sum can only be rounding (Gibbs'
+    inequality), so it returns 0.
     """
-    _require_same_alphabet(q, p)
     total = 0.0
-    for qi, pi in zip(q.probs, p.probs):
+    for qi, pi in zip(q, p):
         if qi == 0.0:
             continue
         if pi == 0.0:
             raise AbsoluteContinuityViolated(
                 "q has mass where p has none; KL(q||p) is infinite")
         total += qi * math.log2(qi / pi)
-    return total
+    return total if total > 0.0 else 0.0
+
+
+def kl_divergence(q: Distribution, p: Distribution) -> float:
+    """Kullback-Leibler divergence KL(q || p) in bits, never negative.
+
+    Requires p to dominate q; terms with q_i = 0 contribute nothing.
+    """
+    _require_same_alphabet(q, p)
+    return _kl_bits(q.probs, p.probs)
 
 
 def _kl_or_inf(q: Distribution, p: Distribution) -> float:

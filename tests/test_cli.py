@@ -54,6 +54,8 @@ DOC_EXIT_CODES = {
     "test-prior-nan": (["--test", "0.917,0.999", "--prior-positive", "nan"], 1),
     "test-prior-above-1": (["--test", "0.917,0.999", "--prior-positive", "1.5"], 1),
     "test-zero-sensitivity": (["--test", "0,0.5"], 2),
+    "test-reading-never-selected": (["--test", "1,0", "--prior-positive", "0.5"], 2),
+    "test-prior-never-positive": (["--test", "0.5,1", "--prior-positive", "0"], 2),
     "test-one-value": (["--test", "0.5"], 1),
     "rates-ok": (["--rates", "0.2,0.8,0.01,0.99"], 0),
     "rates-nan": (["--rates", "nan,1,0.5,0.5"], 1),
@@ -264,6 +266,26 @@ class TestMsieCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
         assert "grid_size must be an integer" in captured.err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("delta_e", True, "delta_e must be a number, got true"),
+        ("d", False, "d must be a number, got false"),
+        ("c", False, "c must be a number, got false"),
+        ("delta_e", "3", 'delta_e must be a number, got "3"'),
+        ("d", "5", 'd must be a number, got "5"'),
+        ("delta_e", 10**400, "too large to convert to float"),
+    ], ids=["delta_e-true", "d-false", "c-false", "delta_e-string", "d-string",
+            "delta_e-overflow"])
+    def test_gps_scenario_numbers_must_be_json_numbers(self, capsys, tmp_path, key, value,
+                                                        message):
+        scenario = {"grid_size": 64, "delta_e": 3, "d": 5, "c": 0.001}
+        scenario[key] = value
+        path = tmp_path / "gps.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["msie", "--gps", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert message in captured.err
 
 
 class TestReadPairs:

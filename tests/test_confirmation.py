@@ -11,12 +11,16 @@ from semcal import (
     Distribution,
     DocCase,
     RateSpec,
+    average_semantic_info,
+    bayes_invert,
+    belief_adjust,
     doc_from_rates,
     doc_from_test,
     doc_h1_from_table,
     doc_h2_from_table,
     gps_cep_doc,
     kl_divergence,
+    negate,
     optimize_belief,
     predicted_probability,
     raven_increments,
@@ -31,6 +35,7 @@ from semcal.errors import (
     UnknownKind,
     ValidationError,
     ZeroDenominator,
+    ZeroSelectionMass,
     ZeroSensitivity,
 )
 
@@ -75,14 +80,27 @@ class TestDocFromRates:
             doc_from_rates(RateSpec((0.0, 1.0), (0.0, 1.0)))
 
     def test_attainment_equals_kl(self):
+        # the closed-form bits are KL(Q || P); the information the returned b*
+        # achieves, evaluated through the truth-function path, must match them
         rng = random.Random(5)
+        affirms = Crisp(AB, {"e1"})
+        seen = set()
         for _ in range(200):
             spec = random_rates(rng)
             r = doc_from_rates(spec)
+            seen.add(r.case)
             q = Distribution(AB, (spec.posterior[1], spec.posterior[0]))
             p = Distribution(AB, (spec.prior[1], spec.prior[0]))
             assert r.information_bits == pytest.approx(kl_divergence(q, p), abs=1e-9)
             assert r.b_prime_star == pytest.approx(1 - abs(r.b_star), abs=1e-12)
+            assert r.information_bits >= 0.0
+            assert r.information_bits == pytest.approx(
+                average_semantic_info(belief_adjust(affirms, r.b_star), p, q), abs=1e-9)
+            d = doc_from_rates(spec, hypothesis="denial")
+            assert d.information_bits >= 0.0
+            assert d.information_bits == pytest.approx(
+                average_semantic_info(belief_adjust(negate(affirms), d.b_star), p, q), abs=1e-9)
+        assert seen == {DocCase.PROPER_AFFIRMATION, DocCase.EXCESSIVE_AFFIRMATION}
 
     def test_denial_sign_flips(self):
         rng = random.Random(9)
@@ -195,6 +213,26 @@ class TestDocFromTest:
             assert doc_h1_from_table(t).b_star == pytest.approx(
                 reference.b_star, abs=1e-9)
 
+    def test_test_reading_attainment_equals_kl(self):
+        # doc_from_test's prior-free b* achieves the bits it reports under the
+        # sampling distribution that Bayes' rule gives each reading
+        rng = random.Random(7)
+        seen = set()
+        for _ in range(200):
+            sens, spec = rng.uniform(0.05, 1.0), rng.uniform(0.0, 0.999)
+            pi = rng.uniform(0.02, 0.98)
+            prior = Distribution(AB, (pi, 1.0 - pi))
+            pos, neg = doc_from_test(sens, spec, prior_positive=pi)
+            for result, reading, row in ((pos, "e1", (sens, 1.0 - spec)),
+                                         (neg, "e0", (1.0 - sens, spec))):
+                seen.add(result.case)
+                sampling = bayes_invert(prior, row)
+                achieved = average_semantic_info(
+                    belief_adjust(Crisp(AB, {reading}), result.b_star), prior, sampling)
+                assert result.information_bits >= 0.0
+                assert result.information_bits == pytest.approx(achieved, abs=1e-9)
+        assert seen == {DocCase.PROPER_AFFIRMATION, DocCase.EXCESSIVE_AFFIRMATION}
+
 
     @pytest.mark.parametrize("sens, spec, error", [
         (math.nan, 0.5, NonFinite),
@@ -219,6 +257,14 @@ class TestDocFromTest:
     def test_invalid_prior(self, prior, error):
         with pytest.raises(error):
             doc_from_test(0.917, 0.999, prior_positive=prior)
+
+    @pytest.mark.parametrize("sens, spec, prior", [
+        (0.5, 1.0, 0.0), (0.5, 0.0, 0.0), (1.0, 0.5, 1.0), (1.0, 0.0, 0.5)])
+    def test_reading_the_prior_never_selects(self, sens, spec, prior):
+        # a reading with no selection mass under the prior is a degeneracy (exit 2)
+        with pytest.raises(ZeroSelectionMass) as info:
+            doc_from_test(sens, spec, prior_positive=prior)
+        assert info.value.exit_code == 2
 
 
 class TestGpsCep:

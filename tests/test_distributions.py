@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from semcal import Alphabet, Distribution, bayes_invert, kl_divergence, pointwise_info
 from semcal.distributions import NORMALIZATION_TOLERANCE
@@ -103,6 +103,7 @@ class TestKlDivergence:
             kl_divergence(dist(0.5, 0.5), dist(1.0, 0.0))
 
     @given(positive_probs, positive_probs)
+    @example([1.0, 0.9999999999999999], [1.0, 1.0])
     def test_nonnegative_and_zero_iff_equal(self, qs, ps):
         n = min(len(qs), len(ps))
         q, p = dist(*normalized(qs[:n])), dist(*normalized(ps[:n]))

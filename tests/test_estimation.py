@@ -681,6 +681,11 @@ MISUSE_CASES = {
                                IndexMismatch),
     "rates-posterior-not-a-pair": (lambda: RateSpec(prior=(0.5, 0.5), posterior=(1.0,)),
                                    IndexMismatch),
+    "rates-negative-mass": (lambda: RateSpec(prior=(1.2, -0.2), posterior=(0.5, 0.5)),
+                            NegativeMass),
+    "rates-not-normalized": (lambda: RateSpec(prior=(0.5, 0.5 + 2e-9), posterior=(0.5, 0.5)),
+                             NotNormalized),
+    "distribution-negative-mass": (lambda: Distribution(AB, (1.2, -0.2)), NegativeMass),
     "gps-floor-fills-grid": (lambda: GpsModel(grid_size=50, delta_e=0.0, d=5.0, c=0.02),
                              OutOfRange),
     "gps-fractional-grid": (lambda: GpsModel(grid_size=64.5, delta_e=3, d=5.0, c=0.001),
@@ -695,6 +700,12 @@ def test_shape_and_range_misuse_error_class(build, error):
     with pytest.raises(error) as info:
         build()
     assert info.value.exit_code == 1
+
+
+def test_rate_pair_within_normalization_tolerance_is_accepted():
+    spec = RateSpec(prior=(0.5, 0.5 + 5e-10), posterior=(0.25, 0.75 - 5e-10))
+    assert spec.prior == (0.5, 0.5 + 5e-10)
+    assert doc_from_rates(spec).information_bits >= 0.0
 
 
 class TestGpsFit:
