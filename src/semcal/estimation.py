@@ -25,8 +25,7 @@ parabolic interpolation.
 
 The belief solve is closed-form on the distinct base truth values: the
 sampling mass is grouped by truth value once per solve, so each evaluation
-of k, or of the information, is one plain loop over the groups (two for a
-crisp base).
+of k is one plain loop over the groups (two for a crisp base).
 
 numpy is imported inside the position-model functions, not at module
 load: it is the bulk of ``import semcal``, and only these functions use it.
@@ -75,8 +74,8 @@ GOLDEN_SECTION = (3.0 - math.sqrt(5.0)) / 2.0
 #: Width of the final bracket of ``_concave_root`` around a belief optimum.
 ROOT_TOL = 1e-9
 
-#: Belief candidates whose information is within this many bits of the best
-#: one tie; the tie goes to the smallest |b|, so rounding never decides it.
+#: A belief optimum worth at most this many bits ties with b = 0, which then
+#: wins: rounding never decides between them.
 TIE_BITS = 1e-12
 
 
@@ -243,29 +242,6 @@ def _belief_groups(table: tuple[float, ...], prior: Distribution, sampling: Dist
     return tuple(grouped.items()), math.fsum(grouped.values()), mean
 
 
-def _belief_objective(groups, kept: float, mean: float):
-    """The average semantic information f(b) of the grouped base at a belief b >= 0.
-
-    For b in [0, 1) every adjusted truth value 1 + b*u and the logical
-    probability 1 + b*E_P[u] are positive, so
-
-        f(b) = sum_g Q_g*log2(1 + b*u_g) - M*log2(1 + b*E_P[u]),
-
-    one loop over the ``_belief_groups`` with no validation.
-    """
-    log2 = math.log2
-
-    def f(b: float) -> float:
-        # 1 + b*u, written as (1 - b) + b*t: the same truth values as belief_adjust
-        offset = 1.0 - b
-        total = 0.0
-        for t, q in groups:
-            total += q * log2(offset + b * t)
-        return total - kept * log2(offset + b * mean)
-
-    return f
-
-
 def _belief_gap(groups, kept: float, mean: float):
     """k(b) = H(b) - LP(b) and its slope on [0, 1], for ``_concave_root``.
 
@@ -317,16 +293,19 @@ def optimize_belief(base_tf: TruthFunction, prior: Distribution,
     for the base, b* = c*, when the slope is positive, and for its
     complement 1 - t, b* = -c*, when it is negative.  When the slope is
     exactly 0, b = 0 is the global maximum: the result is b* = 0.0 with
-    0 bits, and nothing else is evaluated.  Otherwise the candidates are
-    b = 0 (the tautology, 0 bits), the root when it lies inside the branch,
-    and the end of the branch, b = 1 or b = -1, which
-    ``average_semantic_info`` evaluates on the base with its -inf and
-    contradiction rules; the end of the falling branch is below 0 bits too,
-    so it is not evaluated.
+    0 bits, and nothing else is evaluated.  Constant-base rule: a base with
+    min(t) == max(t) gets the same result on the same path.  At every
+    belief its truth values are all equal, which carries no information;
+    but rounding can leave its slope a few 1e-16 from 0 and send the root
+    to where the logical probability of the complement underflows.
+    Otherwise the information is evaluated once, at the root b* = +-c*, by
+    ``average_semantic_info`` on the base with its -inf and contradiction
+    rules.
 
-    Tie rule: candidates within ``TIE_BITS`` of the best one tie, and the tie
-    goes to the smallest |b|.  So evidence that carries no information
-    (sampling equal to the prior) gives b* = 0.0 exactly.
+    Tie rule: when those bits are at most ``TIE_BITS``, b = 0 (the
+    tautology, 0 bits) wins and the result is b* = 0.0 with 0 bits.  So
+    evidence that carries no information (sampling equal to the prior)
+    gives b* = 0.0 exactly, and no result has negative bits.
     """
     if isinstance(base_tf, (Tabular, Crisp)) and base_tf.alphabet.labels == prior.alphabet.labels:
         base = base_tf
@@ -338,25 +317,22 @@ def optimize_belief(base_tf: TruthFunction, prior: Distribution,
     _require_same_alphabet(prior, sampling)
 
     slope = math.fsum((q - p) * t for q, p, t in zip(sampling.probs, prior.probs, table))
-    if slope == 0.0:
-        return DocResult(b_star=0.0, b_prime_star=1.0, case=DocCase.PROPER_AFFIRMATION,
-                         information_bits=0.0)
-    end = 1.0 if slope > 0.0 else -1.0
-    if end < 0.0:    # the belief -c in t is the belief c in 1 - t
-        table = tuple([1.0 - t for t in table])
-    groups = _belief_groups(table, prior, sampling)
-    candidates = [(0.0, 0.0),
-                  (end, average_semantic_info(belief_adjust(base, end), prior, sampling))]
-    root = _concave_root(_belief_gap(*groups), 1.0)
-    if root != 1.0:
-        candidates.append((end * root, _belief_objective(*groups)(root)))
-
-    top = max(fx for _, fx in candidates)
-    best_b, best_f = min((c for c in candidates if c[1] >= top - TIE_BITS),
-                         key=lambda c: abs(c[0]))
-    case = DocCase.PROPER_AFFIRMATION if best_b >= 0 else DocCase.EXCESSIVE_AFFIRMATION
-    return DocResult(b_star=best_b, b_prime_star=1.0 - abs(best_b),
-                     case=case, information_bits=best_f)
+    if slope != 0.0:
+        # the belief -c in t is the belief c in 1 - t
+        branch = table if slope > 0.0 else tuple([1.0 - t for t in table])
+        groups = _belief_groups(branch, prior, sampling)
+        # two truth values where q > 0 rule out a constant base without a scan
+        if len(groups[0]) > 1 or min(table) != max(table):
+            c = _concave_root(_belief_gap(*groups), 1.0)
+            b_star = math.copysign(c, slope)
+            bits = average_semantic_info(belief_adjust(base, b_star), prior, sampling)
+            if bits > TIE_BITS:
+                case = (DocCase.PROPER_AFFIRMATION if slope > 0.0
+                        else DocCase.EXCESSIVE_AFFIRMATION)
+                return DocResult(b_star=b_star, b_prime_star=1.0 - c, case=case,
+                                 information_bits=bits)
+    return DocResult(b_star=0.0, b_prime_star=1.0, case=DocCase.PROPER_AFFIRMATION,
+                     information_bits=0.0)
 
 
 def channel_from_samples(samples: SampleSet) -> tuple[Channel, Distribution]:

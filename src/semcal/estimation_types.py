@@ -95,6 +95,22 @@ class SampleSet(Frozen):
         return len(self.records)
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a float, or OutOfRange.
+
+    A bool, text or other non-number is refused, and so is a number too
+    large for a float, such as an int of 400 digits.
+    """
+    if not isinstance(value, (bool, str, bytes, bytearray)):
+        try:
+            return float(value)
+        except OverflowError:
+            raise OutOfRange(f"{name} is too large to convert to float") from None
+        except (TypeError, ValueError):
+            pass
+    raise OutOfRange(f"{name} must be a number, got {value!r}")
+
+
 def toroidal_offset(raw, size: int):
     """Wrap signed offsets on a ring of ``size`` cells into [-size/2, size/2)."""
     return (raw + size / 2) % size - size / 2
@@ -131,6 +147,7 @@ class GpsModel(Frozen):
             raise OutOfRange(f"grid_size must be an integer, got {grid_size!r}")
         if grid_size < 2:
             raise DegenerateGeometry(f"grid_size must be >= 2, got {grid_size}")
+        delta_e, d, c = _real("delta_e", delta_e), _real("d", d), _real("c", c)
         require_finite("delta_e, d and c", (delta_e, d, c))
         if d <= 0:
             raise OutOfRange(f"standard deviation must be positive, got {d}")
@@ -138,8 +155,9 @@ class GpsModel(Frozen):
             raise GridTooCoarse(f"standard deviation {d} is below 2 grid steps")
         if c < 0:
             raise NegativeMass(f"long-tail floor must be >= 0, got {c}")
-        if grid_size * c >= 1.0:
-            raise OutOfRange(f"floor mass {grid_size * c} leaves no room for the peak")
+        floor_mass = _real("grid_size", grid_size) * c
+        if floor_mass >= 1.0:
+            raise OutOfRange(f"floor mass {floor_mass} leaves no room for the peak")
         object.__setattr__(self, "grid_size", grid_size)
         object.__setattr__(self, "delta_e", delta_e)
         object.__setattr__(self, "d", d)

@@ -268,14 +268,15 @@ class TestMsieCommand:
         assert "grid_size must be an integer" in captured.err
 
     @pytest.mark.parametrize("key, value, message", [
-        ("delta_e", True, "delta_e must be a number, got true"),
-        ("d", False, "d must be a number, got false"),
-        ("c", False, "c must be a number, got false"),
-        ("delta_e", "3", 'delta_e must be a number, got "3"'),
-        ("d", "5", 'd must be a number, got "5"'),
+        ("delta_e", True, "delta_e must be a number, got True"),
+        ("d", False, "d must be a number, got False"),
+        ("c", False, "c must be a number, got False"),
+        ("delta_e", "3", "delta_e must be a number, got '3'"),
+        ("d", "5", "d must be a number, got '5'"),
         ("delta_e", 10**400, "too large to convert to float"),
+        ("grid_size", 10**400, "grid_size is too large to convert to float"),
     ], ids=["delta_e-true", "d-false", "c-false", "delta_e-string", "d-string",
-            "delta_e-overflow"])
+            "delta_e-overflow", "grid_size-overflow"])
     def test_gps_scenario_numbers_must_be_json_numbers(self, capsys, tmp_path, key, value,
                                                         message):
         scenario = {"grid_size": 64, "delta_e": 3, "d": 5, "c": 0.001}

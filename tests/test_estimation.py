@@ -47,6 +47,7 @@ from semcal.errors import (
     NotNormalized,
     OutOfRange,
     ValidationError,
+    ZeroLogicalProbability,
     ZeroPrior,
     ZeroRow,
 )
@@ -178,7 +179,10 @@ class TestOptimizeBelief:
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_falling_branch_end_is_not_evaluated(self, monkeypatch, sign):
-        # by Jensen the end of the branch f falls into from b = 0 is below 0 bits
+        # by Jensen the branch f falls into from b = 0 stays below 0 bits, and
+        # on the branch it rises into the root is the maximizer: the
+        # information is evaluated once, at the root, and never past b = 0
+        # on the falling side
         calls = count_calls(monkeypatch, "average_semantic_info")
         rng = random.Random(37)
         for n in (2, 3, 8, 64):
@@ -191,10 +195,28 @@ class TestOptimizeBelief:
                     slope = slope_at_zero(base, prior, sampling)
                     p, q = (prior, sampling) if (slope > 0) == (sign > 0) else (sampling, prior)
                     calls.clear()
-                    optimize_belief(base, p, q)
-                    beliefs = [tf.belief for tf, _, _ in calls]
-                    assert float(sign) in beliefs
-                    assert float(-sign) not in beliefs
+                    r = optimize_belief(base, p, q)
+                    [(tf, _, _)] = calls
+                    assert tf.belief * sign > 0.0
+                    if r.b_star == 0.0:     # a tie with b = 0
+                        assert r.information_bits == 0.0
+                    else:
+                        assert tf.belief == r.b_star
+
+    def test_interior_optimum_past_a_refused_end(self):
+        # the complement of this base is ~1.8e-12 at x1, so at b = -1 the
+        # logical probability is below CONTRADICTION_FLOOR; the optimum lies
+        # inside the branch, and the end is never evaluated
+        ab = Alphabet(["x0", "x1"])
+        base = Tabular(ab, (1.0, 0.9999999999981716))
+        prior = Distribution(ab, (0.7293033912679356, 0.2706966087320643))
+        sampling = Distribution(ab, (0.7208382022610056, 0.27916179773899447))
+        with pytest.raises(ZeroLogicalProbability):
+            average_semantic_info(belief_adjust(base, -1.0), prior, sampling)
+        r = optimize_belief(base, prior, sampling)
+        assert -1.0 < r.b_star < 0.0 and r.case is DocCase.EXCESSIVE_AFFIRMATION
+        assert r.information_bits == pytest.approx(
+            exact_information(base.table, prior, sampling, r.b_star), rel=0.0, abs=1e-12)
 
     def test_zero_slope_evaluates_nothing(self, monkeypatch):
         # E_Q[t] = E_P[t]: k(b) <= 0 on both branches, so b = 0 is the global maximum
@@ -316,6 +338,26 @@ def exact_information(table, prior, sampling, b):
     return math.fsum(q * math.log2(t / lp) for q, t in zip(sampling.probs, truth) if q > 0)
 
 
+@st.composite
+def constant_base_problems(draw):
+    """(base, prior, sampling) on 2-64 labels for a base of one constant value.
+
+    The masses have zeros, and the two sum to different floats, so the
+    slope at b = 0 need not round to 0.  The constant stays above 1e-9: at
+    b = 1 the logical probability of a smaller one falls toward
+    ``CONTRADICTION_FLOOR``.
+    """
+    n = draw(st.integers(2, 64))
+    ab = Alphabet([f"x{i}" for i in range(n)])
+    masses = st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=n, max_size=n)
+    prior, sampling = draw(masses), draw(masses)
+    assume(any(prior) and any(sampling))
+    prior, sampling = normalized(prior), normalized(sampling)
+    assume(math.fsum(q - p for q, p in zip(sampling, prior)) != 0.0)
+    value = draw(st.one_of(st.just(1.0), st.floats(1e-9, 1.0)))
+    return Tabular(ab, [value] * n), Distribution(ab, prior), Distribution(ab, sampling)
+
+
 class TestOptimizeBeliefProperties:
     @settings(max_examples=200, deadline=None)
     @given(problem=st.one_of(belief_problems("crisp"), belief_problems("tabular")))
@@ -379,21 +421,37 @@ class TestOptimizeBeliefProperties:
         assert denied.b_star == -affirmed.b_star
         assert denied.information_bits == affirmed.information_bits
 
-    @settings(max_examples=200, deadline=None)
-    @given(problem=near_one_problems())
-    def test_near_one_base_matches_exact_information(self, problem):
-        # on the negative branch 1 + b*t cancels near b = -1 for t near 1
+    @settings(max_examples=300, deadline=None)
+    @given(problem=st.one_of(near_one_problems(), belief_problems("crisp"),
+                             belief_problems("tabular")),
+           sign=st.sampled_from([1, -1]))
+    def test_near_one_base_matches_exact_information(self, problem, sign):
+        # the reported bits are those at b*; on the negative branch 1 + b*t
+        # cancels near b = -1 for t near 1
         base, prior, sampling = problem
-        prior, sampling = with_slope_sign(base, prior, sampling, -1)
+        prior, sampling = with_slope_sign(base, prior, sampling, sign)
         r = optimize_belief(base, prior, sampling)
-        assert r.b_star <= 0.0
+        assert r.b_star * sign >= 0.0
         assert r.information_bits == pytest.approx(
-            exact_information(base.table, prior, sampling, r.b_star), rel=0.0, abs=1e-12)
+            exact_information(base.values(prior.alphabet), prior, sampling, r.b_star),
+            rel=0.0, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=constant_base_problems())
+    @example(problem=(Tabular(AB, (1.0, 1.0)), Distribution(AB, (0.3, 0.7)),
+                      Distribution(AB, (0.1, 0.9))))
+    def test_constant_base_carries_no_information(self, problem):
+        # every belief leaves the truth values of a constant base equal, while
+        # rounding can leave its slope a few 1e-16 from 0 either way
+        base, prior, sampling = problem
+        r = optimize_belief(base, prior, sampling)
+        assert (r.b_star, r.b_prime_star, r.information_bits) == (0.0, 1.0, 0.0)
+        assert r.case is DocCase.PROPER_AFFIRMATION
 
 
 @st.composite
 def objective_problems(draw):
-    """(table, prior, sampling) on 2-256 labels for the grouped belief objective.
+    """(table, prior, sampling) on 2-256 labels for the grouped belief solve.
 
     The base is crisp or takes a few repeated values, so that labels share a
     truth value and their sampling mass merges into one group.  The sampling
@@ -418,38 +476,6 @@ def objective_problems(draw):
 def branch_table(table, sign):
     """The table the belief solve groups on a branch: the base, or its complement for sign < 0."""
     return tuple(table) if sign > 0 else tuple(1.0 - t for t in table)
-
-
-class TestBeliefObjective:
-    # the search stays at least tol/4 = 2.5e-10 inside each branch
-    @settings(max_examples=300, deadline=None)
-    @given(problem=objective_problems(), sign=st.sampled_from([1.0, -1.0]),
-           size=st.floats(0.0, 1.0 - 1e-9))
-    @example(problem=([1.0, 0.0, 0.5], Distribution(Alphabet(["x0", "x1", "x2"]), (0.2, 0.3, 0.5)),
-                      Distribution(Alphabet(["x0", "x1", "x2"]), (0.0, 0.6, 0.4))),
-             sign=1.0, size=1.0 - 1e-9)
-    # bases near 1 near b = -1, where 1 + b*t cancels
-    @example(problem=([0.999999999, 0.999999999], Distribution(Alphabet(["x0", "x1"]),
-                                                               (0.344, 0.656)),
-                      Distribution(Alphabet(["x0", "x1"]), (0.864, 0.136))),
-             sign=-1.0, size=0.999999999)
-    @example(problem=([0.0, 0.999999999],
-                      Distribution(Alphabet(["x0", "x1"]),
-                                   (0.2180618212370913, 0.7819381787629087)),
-                      Distribution(Alphabet(["x0", "x1"]),
-                                   (0.07625980783542242, 0.9237401921645776))),
-             sign=-1.0, size=0.999999999)
-    def test_matches_average_semantic_info(self, problem, sign, size):
-        # the belief -size in t is the belief size in 1 - t.  The reference takes
-        # that form too: belief_adjust(t, -size) computes 1 - size*t, which loses
-        # up to 7e-10 bits to cancellation on the second example above
-        table, prior, sampling = problem
-        branch = branch_table(table, sign)
-        groups = estimation._belief_groups(branch, prior, sampling)
-        expected = average_semantic_info(belief_adjust(Tabular(prior.alphabet, branch), size),
-                                         prior, sampling)
-        assert estimation._belief_objective(*groups)(size) == pytest.approx(
-            expected, rel=1e-12, abs=1e-12)
 
 
 def branch_problems():
@@ -508,13 +534,18 @@ class TestBeliefGap:
         table, prior, sampling = problem
         slope = slope_at_zero(Tabular(prior.alphabet, table), prior, sampling)
         assume(slope != 0.0)
-        groups = estimation._belief_groups(branch_table(table, slope), prior, sampling)
-        f = estimation._belief_objective(*groups)
+        branch = branch_table(table, slope)
+        groups = estimation._belief_groups(branch, prior, sampling)
         root = estimation._concave_root(estimation._belief_gap(*groups), 1.0)
-        _, brent = _line_max(f, 0.0, 1.0)
+        tf = Tabular(prior.alphabet, branch)
+
+        def f(x):
+            return average_semantic_info(belief_adjust(tf, x), prior, sampling)
+
         try:
+            _, brent = _line_max(f, 0.0, 1.0)
             bits = f(root)
-        except ValueError:      # log2(0): the logical probability underflows at the end
+        except ZeroLogicalProbability:      # it underflows near the end of the branch
             assume(False)
         assert bits >= brent - 1e-12
 
@@ -692,6 +723,15 @@ MISUSE_CASES = {
                             OutOfRange),
     "gps-float-grid": (lambda: GpsModel(grid_size=64.0, delta_e=3, d=5.0, c=0.001), OutOfRange),
     "gps-bool-grid": (lambda: GpsModel(grid_size=True, delta_e=3, d=5.0, c=0.001), OutOfRange),
+    "gps-bool-shift": (lambda: GpsModel(grid_size=64, delta_e=True, d=5.0, c=0.001),
+                       OutOfRange),
+    "gps-bool-floor": (lambda: GpsModel(grid_size=64, delta_e=3, d=5.0, c=False), OutOfRange),
+    "gps-string-spread": (lambda: GpsModel(grid_size=64, delta_e=3, d="5", c=0.001),
+                          OutOfRange),
+    "gps-huge-int-shift": (lambda: GpsModel(grid_size=64, delta_e=10**400, d=5.0, c=0.001),
+                           OutOfRange),
+    "gps-huge-int-grid": (lambda: GpsModel(grid_size=10**400, delta_e=3, d=5.0, c=0.0),
+                          OutOfRange),
 }
 
 

@@ -70,7 +70,7 @@ CASES = {
     "GpsModel": (
         GpsModel, {"grid_size": 64, "delta_e": 3, "d": 5.0, "c": 0.001},
         {"grid_size": 64, "delta_e": 3, "d": 5.0, "c": 0.002},
-        "GpsModel(grid_size=64, delta_e=3, d=5.0, c=0.001)"),
+        "GpsModel(grid_size=64, delta_e=3.0, d=5.0, c=0.001)"),
 }
 
 PARAMS = pytest.mark.parametrize("cls, kwargs, other, text", CASES.values(), ids=CASES.keys())
