@@ -17,15 +17,17 @@ LP(b) = E_P[T_b] the logical probability.  Then the information f(b) has
 slope f'(b) = M*k(b) / (b*H*LP*ln 2) with k(b) = H(b) - LP(b).  A weighted
 harmonic mean of positive affine functions is concave, so k is concave on
 [0, 1], and k(0) = 0: f is unimodal and its maximizer is the root of k.
-``_concave_root`` finds that root by a bracketed Newton iteration;
-``optimize_belief`` and the belief steps of ``gps_fit`` both use it.  The
+
+The sampling mass is grouped by base truth value once per solve.  Where
+the labels with q > 0 carry at most two truth values -- every crisp base,
+every two-letter problem -- the root is closed form (``_two_group_root``);
+for a crisp base it is the abstract's 1 - (Q0/Q1)/(P0/P1).  With three or
+more, ``_concave_root`` finds the root by a bracketed Newton iteration,
+each evaluation of k one plain loop over the groups; the belief steps of
+``gps_fit`` use it too.  The
 other one-dimensional maximizations (the shift and spread steps of
 ``gps_fit``) are ``_line_max``: Brent's method, golden-section steps plus
 parabolic interpolation.
-
-The belief solve is closed-form on the distinct base truth values: the
-sampling mass is grouped by truth value once per solve, so each evaluation
-of k is one plain loop over the groups (two for a crisp base).
 
 numpy is imported inside the position-model functions, not at module
 load: it is the bulk of ``import semcal``, and only these functions use it.
@@ -61,7 +63,7 @@ from .errors import (
     ZeroPrior,
     ZeroRow,
 )
-from .estimation_types import Channel, SampleSet, gaussian_profile
+from .estimation_types import Channel, SampleSet, gaussian_profile, require_gaussian_spread
 from .semantic_info import average_semantic_info
 from .truth_functions import Crisp, Tabular, TruthFunction, belief_adjust
 
@@ -242,6 +244,37 @@ def _belief_groups(table: tuple[float, ...], prior: Distribution, sampling: Dist
     return tuple(grouped.items()), math.fsum(grouped.values()), mean
 
 
+def _two_group_root(groups, kept: float, mean: float) -> float:
+    """The root of k on [0, 1] in closed form, for at most two groups.
+
+    With u_i = t_i - 1, w = E_P[t] - 1 and A = Q_0*u_1 + Q_1*u_0, clearing
+    the denominators of k = H - LP gives k(c) = c*(alpha + beta*c) / (M + c*A),
+    where alpha = M*(u_0 + u_1) - A - M*w, beta = M*u_0*u_1 - w*A, and
+    M + c*A = Q_0*T_1 + Q_1*T_0 is positive.  So k rises from 0 only when
+    alpha > 0, and then its one root on (0, 1) is -alpha/beta, when beta < 0
+    and that lies below 1; otherwise k >= 0 on the whole branch and the end
+    c = 1 is the maximizer.  A group with truth value 0 makes H zero, and so
+    k negative, at c = 1 (and beta < 0), so the root lies below 1 even where
+    -alpha/beta rounds up to it: the result is then the float below 1, where
+    ``_concave_root`` also stops.  When alpha <= 0 (a slope at b = 0 that
+    only rounding made positive) f does not rise and the result is 0.  A
+    single group is paired with an empty copy of itself, which leaves k
+    unchanged.
+    """
+    (t0, q0), (t1, q1) = groups if len(groups) == 2 else (groups[0], (groups[0][0], 0.0))
+    u0, u1, w = t0 - 1.0, t1 - 1.0, mean - 1.0
+    a = q0 * u1 + q1 * u0
+    alpha = kept * (u0 + u1) - a - kept * w
+    if not alpha > 0.0:
+        return 0.0
+    beta = kept * u0 * u1 - w * a
+    if beta < 0.0 and -alpha / beta < 1.0:
+        return -alpha / beta
+    if t0 == 0.0 or t1 == 0.0:
+        return math.nextafter(1.0, 0.0)
+    return 1.0
+
+
 def _belief_gap(groups, kept: float, mean: float):
     """k(b) = H(b) - LP(b) and its slope on [0, 1], for ``_concave_root``.
 
@@ -282,9 +315,10 @@ def optimize_belief(base_tf: TruthFunction, prior: Distribution,
     those two are used as they are, since their truth vectors are valid and
     cheap to read again.  The sampling mass is grouped by truth value once
     (``_belief_groups``).  The maximizer on a branch is the root of
-    k = H - LP (see the module docstring), which ``_concave_root`` finds
-    from the end of the branch; each of its steps is one loop over the
-    groups.
+    k = H - LP (see the module docstring): closed form for at most two
+    truth values where q > 0 (``_two_group_root``, on the branch's own
+    groups), else found by ``_concave_root`` from the end of the branch,
+    each of its steps one loop over the groups.
 
     Branch rule: both one-sided slopes at b = 0 equal
     (E_Q[t] - E_P[t]) / ln 2 for the base truth vector t, sampling Q and
@@ -320,10 +354,13 @@ def optimize_belief(base_tf: TruthFunction, prior: Distribution,
     if slope != 0.0:
         # the belief -c in t is the belief c in 1 - t
         branch = table if slope > 0.0 else tuple([1.0 - t for t in table])
-        groups = _belief_groups(branch, prior, sampling)
+        groups, kept, mean = _belief_groups(branch, prior, sampling)
         # two truth values where q > 0 rule out a constant base without a scan
-        if len(groups[0]) > 1 or min(table) != max(table):
-            c = _concave_root(_belief_gap(*groups), 1.0)
+        if len(groups) > 1 or min(table) != max(table):
+            if len(groups) > 2:
+                c = _concave_root(_belief_gap(groups, kept, mean), 1.0)
+            else:
+                c = _two_group_root(groups, kept, mean)
             b_star = math.copysign(c, slope)
             bits = average_semantic_info(belief_adjust(base, b_star), prior, sampling)
             if bits > TIE_BITS:
@@ -448,6 +485,7 @@ def gps_objective(observed: np.ndarray, delta: float, d: float, b: float) -> flo
     require_finite("shift and spread", (delta, d))
     if not d > 0:
         raise OutOfRange(f"spread must be positive, got d={d}")
+    require_gaussian_spread("spread", d)
     if not 0.0 <= b <= 1.0:
         raise BeliefOutOfRange(f"belief must lie in [0, 1], got b={b}")
     lags = np.asarray(observed, dtype=float)

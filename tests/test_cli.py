@@ -288,6 +288,14 @@ class TestMsieCommand:
         assert captured.out == "" and captured.err.startswith("error: ")
         assert message in captured.err
 
+    def test_gps_spread_whose_square_overflows(self, capsys, tmp_path):
+        path = tmp_path / "gps.json"
+        path.write_text(json.dumps({"grid_size": 64, "delta_e": 3, "d": 1e200, "c": 0.001}))
+        assert main(["msie", "--gps", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "2*d**2 is not finite" in captured.err
+
 
 class TestReadPairs:
     def test_skips_comments_and_blank_lines(self, tmp_path):

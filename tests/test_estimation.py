@@ -140,10 +140,21 @@ class TestOptimizeBelief:
         assert r.information_bits == 0.0
 
     def test_already_optimal_base(self, monkeypatch):
-        # f still rises into b = 1, so the end test settles it with one k evaluation
+        # two truth values: the closed form gives the end, with no k evaluation
         evaluations = count_search_evaluations(monkeypatch)
         prior = Distribution(AB, (0.6, 0.4))
         base = Tabular(AB, (1.0, 0.3))
+        sampling = semantic_bayes(prior, base)
+        r = optimize_belief(base, prior, sampling)
+        assert r.b_star == 1.0
+        assert evaluations == []
+
+    def test_already_optimal_three_valued_base(self, monkeypatch):
+        # f still rises into b = 1, so the end test settles it with one k evaluation
+        evaluations = count_search_evaluations(monkeypatch)
+        ab = Alphabet(["x0", "x1", "x2"])
+        prior = Distribution(ab, (0.5, 0.3, 0.2))
+        base = Tabular(ab, (1.0, 0.6, 0.3))
         sampling = semantic_bayes(prior, base)
         r = optimize_belief(base, prior, sampling)
         assert r.b_star == 1.0
@@ -171,11 +182,39 @@ class TestOptimizeBelief:
         for _ in range(5):
             prior = Distribution(ab, normalized([rng.uniform(0.01, 1.0) for _ in range(n)]))
             sampling = Distribution(ab, normalized([rng.uniform(0.01, 1.0) for _ in range(n)]))
-            for base in (Crisp(ab, rng.sample(ab.labels, n // 8)),
-                         Tabular(ab, [rng.uniform(0.0, 1.0) for _ in range(n)])):
-                evaluations.clear()
-                optimize_belief(base, prior, sampling)
-                assert 0 < len(evaluations) <= 20
+            crisp = Crisp(ab, rng.sample(ab.labels, n // 8))
+            evaluations.clear()
+            optimize_belief(crisp, prior, sampling)
+            assert evaluations == []    # two truth values: the closed form
+            evaluations.clear()
+            optimize_belief(Tabular(ab, [rng.uniform(0.0, 1.0) for _ in range(n)]),
+                            prior, sampling)
+            assert 0 < len(evaluations) <= 20
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_two_group_solve_runs_no_search(self, monkeypatch, sign):
+        # at most two truth values where q > 0: the root is closed form, and
+        # _concave_root is called only for three or more
+        calls = count_calls(monkeypatch, "_concave_root")
+        rng = random.Random(41)
+        for n in (2, 3, 8, 64, 256):
+            ab = Alphabet([f"x{i}" for i in range(n)])
+            levels = (rng.uniform(0.0, 0.5), rng.uniform(0.5, 1.0))
+            bases = (Crisp(ab, rng.sample(ab.labels, max(1, n // 4))),
+                     Tabular(ab, [levels[i % 2] for i in range(n)]))
+            for base in bases:
+                prior = Distribution(ab, normalized([rng.uniform(0.01, 1.0) for _ in range(n)]))
+                sampling = Distribution(ab, normalized([rng.uniform(0.01, 1.0)
+                                                        for _ in range(n)]))
+                slope = slope_at_zero(base, prior, sampling)
+                p, q = (prior, sampling) if (slope > 0) == (sign > 0) else (sampling, prior)
+                assert optimize_belief(base, p, q).b_star * sign > 0.0
+        assert calls == []
+        three = Tabular(Alphabet(["x0", "x1", "x2"]), (1.0, 0.5, 0.0))
+        p, q = (Distribution(three.alphabet, masses) for masses in ((0.4, 0.3, 0.3),
+                                                                    (0.3, 0.3, 0.4)))
+        assert optimize_belief(three, *((p, q) if sign < 0 else (q, p))).b_star * sign > 0.0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_falling_branch_end_is_not_evaluated(self, monkeypatch, sign):
@@ -217,6 +256,38 @@ class TestOptimizeBelief:
         assert -1.0 < r.b_star < 0.0 and r.case is DocCase.EXCESSIVE_AFFIRMATION
         assert r.information_bits == pytest.approx(
             exact_information(base.table, prior, sampling, r.b_star), rel=0.0, abs=1e-12)
+
+    def test_slope_sign_from_rounding_alone_gives_zero(self):
+        # the sampling is the prior moved by ~2e-16: the slope at 0 reads
+        # negative, but on the complement's groups k does not rise (alpha <= 0),
+        # so the closed form gives c = 0; the end c = 1 would have raised, as
+        # its logical probability is ~5e-13, under CONTRADICTION_FLOOR
+        ab = Alphabet(["x0", "x1"])
+        base = Tabular(ab, (1.0, 0.9999999999995))
+        prior = Distribution(ab, (0.047120701857565034, 0.952879298142435))
+        sampling = Distribution(ab, (0.047120701857565235, 0.9528792981424348))
+        assert slope_at_zero(base, prior, sampling) < 0.0
+        assert estimation._two_group_root(
+            *estimation._belief_groups(branch_table(base.table, -1), prior, sampling)) == 0.0
+        with pytest.raises(ZeroLogicalProbability):
+            average_semantic_info(belief_adjust(base, -1.0), prior, sampling)
+        r = optimize_belief(base, prior, sampling)
+        assert (r.b_star, r.b_prime_star, r.information_bits) == (0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("positive, sign", [(["x1"], 1.0), (["x0"], -1.0)])
+    def test_root_within_an_ulp_of_a_zero_truth_value(self, positive, sign):
+        # the branch's groups are ((0.0, 1e-17), (1.0, 1.0)): the root lies
+        # below 1 by less than an ulp, so -alpha/beta rounds up to 1.0, where
+        # the truth value 0 would give -inf bits; the root is the float below 1
+        ab = Alphabet(["x0", "x1"])
+        prior = Distribution(ab, (0.5, 0.5))
+        sampling = Distribution(ab, (1e-17, 1.0))
+        r = optimize_belief(Crisp(ab, positive), prior, sampling)
+        assert r.b_star == sign * math.nextafter(1.0, 0.0)
+        assert r.information_bits > 0.9
+        assert r.information_bits == pytest.approx(1.0, rel=0.0, abs=1e-12)
+        assert r.case is (DocCase.PROPER_AFFIRMATION if sign > 0
+                          else DocCase.EXCESSIVE_AFFIRMATION)
 
     def test_zero_slope_evaluates_nothing(self, monkeypatch):
         # E_Q[t] = E_P[t]: k(b) <= 0 on both branches, so b = 0 is the global maximum
@@ -566,6 +637,97 @@ class TestBeliefGap:
         assert slope == pytest.approx(expected_slope, rel=1e-8, abs=1e-10)
 
 
+@st.composite
+def two_group_problems(draw):
+    """(groups, kept, mean) of a rising branch with at most two truth values.
+
+    The truth values include 0 and 1, the kept mass may be below 1, and the
+    prior mean is drawn near the sampling mean as well, for a root near 0;
+    a sampling share near 0 or 1 puts the root near 1.
+    """
+    truth = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+    t0, t1 = draw(truth), draw(truth)
+    assume(abs(t0 - t1) >= 1e-3)
+    kept = draw(st.one_of(st.just(1.0), st.floats(0.5, 1.0)))
+    share = draw(st.floats(1e-9, 1.0 - 1e-9))
+    q0, q1 = kept * share, kept * (1.0 - share)
+    sampling_mean = (q0 * t0 + q1 * t1) / kept
+    mean = draw(st.one_of(st.floats(0.0, 1.0),
+                          st.floats(-1e-4, 0.0).map(lambda x: max(0.0, sampling_mean + x))))
+    groups = ((t0, q0), (t1, q1)) if draw(st.booleans()) else ((t0, kept),)
+    # f rises from b = 0, as on the branch optimize_belief solves.  The search
+    # reads the sign of k = H - LP, which is only good to ~1e-16 absolute,
+    # so its root is good to ROOT_TOL only where k' = alpha/M at 0 is not tiny
+    assume(sum(Fraction(q) * (Fraction(t) - Fraction(mean)) for t, q in groups) > 1e-6)
+    return groups, math.fsum(q for _, q in groups), mean
+
+
+def exact_root(groups, mean):
+    """The root of k = H - LP on (0, 1], by bisection on the exact sign of k.
+
+    The kept mass is the exact sum of the group masses, so that k(0) = 0.
+    Every k is evaluated in rationals at a float c; the bracket ends on two
+    adjacent floats.  Returns 1.0 when k(1) >= 0.
+    """
+    kept = sum(Fraction(q) for _, q in groups)
+
+    def k_sign(c):
+        c = Fraction(c)
+        truth = [1 + c * (Fraction(t) - 1) for t, _ in groups]
+        if 0 in truth:
+            return -1
+        h = kept / sum(Fraction(q) / x for (_, q), x in zip(groups, truth))
+        gap = h - (1 + c * (Fraction(mean) - 1))
+        return (gap > 0) - (gap < 0)
+
+    if k_sign(1.0) >= 0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
+        sign = k_sign(mid)
+        if sign == 0:
+            return mid
+        lo, hi = (mid, hi) if sign > 0 else (lo, mid)
+
+
+class TestTwoGroupRoot:
+    """The closed-form root against ``_concave_root`` on the same groups."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(problem=two_group_problems())
+    # a crisp base: the root 1 - (Q0/Q1)/(P0/P1) is ~4.8e-7 from 0 here
+    @example(problem=(((1.0, 0.3000001), (0.0, 0.6999999)), 1.0, 0.3))
+    # and ~2e-9 from 1 here
+    @example(problem=(((1.0, 1.0 - 1e-9), (0.0, 1e-9)), 1.0, 0.5))
+    def test_matches_root_search(self, problem):
+        groups, kept, mean = problem
+        closed = estimation._two_group_root(groups, kept, mean)
+        searched = estimation._concave_root(estimation._belief_gap(groups, kept, mean), 1.0)
+        assert 0.0 <= closed <= 1.0
+        assert closed == pytest.approx(searched, rel=0.0, abs=2 * estimation.ROOT_TOL)
+
+    @pytest.mark.parametrize("groups, mean", [
+        (((1.0, 0.25), (0.0, 0.75)), 0.2),                  # crisp
+        (((1.0, 0.3000001), (0.0, 0.6999999)), 0.3),        # root near 0
+        (((0.0, 0.25), (1.0, 0.75)), 0.75 - 2.0**-50),      # root ~5e-15 from 0
+        (((1.0, 1.0 - 1e-9), (0.0, 1e-9)), 0.5),            # root near 1
+        (((0.9, 0.5), (0.0, 0.3)), 0.4),                    # a zero truth value, M < 1
+        (((0.7, 0.45), (0.2, 0.45)), 0.35),                 # M < 1
+        (((1.0, 0.6), (0.3, 0.4)), 1.0 / (0.6 + 0.4 / 0.3)),  # already optimal: the end
+        (((0.6, 1.0),), 0.4),                               # one group: the end
+        (((0.0, 1e-17), (1.0, 1.0)), 0.5),                  # root < 1 ulp below 1
+    ])
+    def test_matches_exact_root(self, groups, mean):
+        closed = estimation._two_group_root(groups, math.fsum(q for _, q in groups), mean)
+        exact = exact_root(groups, mean)
+        assert 0.0 < closed <= 1.0
+        assert (closed < 1.0) == (exact < 1.0)
+        assert closed == pytest.approx(exact, rel=0.0, abs=1e-15)
+
+
 def traced(f):
     """f and the list of the points it is evaluated at."""
     points = []
@@ -732,6 +894,8 @@ MISUSE_CASES = {
                            OutOfRange),
     "gps-huge-int-grid": (lambda: GpsModel(grid_size=10**400, delta_e=3, d=5.0, c=0.0),
                           OutOfRange),
+    "gps-spread-square-overflows": (lambda: GpsModel(grid_size=64, delta_e=3, d=1e200, c=0.001),
+                                    OutOfRange),
 }
 
 
@@ -920,6 +1084,8 @@ class TestGpsValidation:
         (0.0, 3.0, NAN, BeliefOutOfRange),
         (NAN, 3.0, 0.9, NonFinite),
         (INF, 3.0, 0.9, NonFinite),
+        (0.0, 1e200, 0.9, OutOfRange),      # d**2 overflows
+        (0.0, np.float64(1.3407807929942596e154), 0.9, OutOfRange),  # 2*d**2 overflows
     ])
     def test_objective_rejects_bad_parameters(self, delta, d, b, error):
         for observed in (_GOOD_CHANNEL, lag_distribution(_GOOD_CHANNEL)):
