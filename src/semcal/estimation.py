@@ -29,10 +29,7 @@ gradient and Hessian of its objective (``_gps_newton_terms``).
 
 numpy is imported inside the position-model functions, not at module
 load: it is the bulk of ``import semcal``, and only these functions use it.
-Their cost per call is mostly fixed overhead, so they check their inputs
-in one pass and take the long route only to name a fault, and gather the
-lag distribution through a strided view; each of these leaves every
-output bit unchanged.
+Channel rows and lag vectors pass one mass check, ``_check_mass``.
 """
 
 from __future__ import annotations
@@ -61,8 +58,8 @@ from .errors import (
     ZeroPrior,
     ZeroRow,
 )
-from .estimation_types import (Channel, SampleSet, gaussian_profile, require_gaussian_spread,
-                               toroidal_offset)
+from .estimation_types import (Channel, SampleSet, _real, gaussian_profile,
+                               require_gaussian_spread, toroidal_offset)
 from .semantic_info import average_semantic_info
 from .truth_functions import Crisp, Tabular, TruthFunction, belief_adjust
 
@@ -337,63 +334,62 @@ def channel_from_samples(samples: SampleSet) -> tuple[Channel, Distribution]:
     return Channel(samples.alphabet, conditions, rows), prior
 
 
+def _float_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array, or OutOfRange for text or complex entries."""
+    import numpy as np
+
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise OutOfRange(f"{what} must hold real numbers") from None
+
+
+def _check_mass(values: np.ndarray, what: str, axis: int | None = None):
+    """Return the sums of ``values`` along ``axis``, once each is a probability mass.
+
+    One min and one sum accept a valid array: no entry below 0 and every sum
+    within ``NORMALIZATION_TOLERANCE`` of 1.  The sum runs only once the
+    minimum has ruled out NaN and -inf.  Only an array that fails is scanned
+    again, to raise NonFinite, NegativeMass or NotNormalized, first match in
+    that order.
+    """
+    import numpy as np
+
+    sums = values.sum(axis=axis) if not values.size or values.min() >= 0 else None
+    if sums is None or not abs(sums - 1.0).max() <= NORMALIZATION_TOLERANCE:
+        if not np.isfinite(values).all():
+            raise NonFinite(f"{what}: an entry is NaN or infinite")
+        if (values < 0).any():
+            raise NegativeMass(f"{what}: an entry is negative")
+        raise NotNormalized(f"{what}: a sum is off from 1 by {abs(sums - 1.0).max():.3g}")
+    return sums
+
+
 def lag_distribution(observed: np.ndarray) -> np.ndarray:
     """Joint mass of a uniform-prior channel at each toroidal lag.
 
     ``observed`` is the row-normalized channel P(reported | true) on a grid
     of m cells; entry k of the result is (1/m) * sum_t observed[t, (t+k) mod m],
     the joint probability that the reported cell lies k steps past the true
-    one; the entries total 1.  The channel is checked in one pass (its
-    minimum and row sums); only a channel that fails it is scanned again to
-    name the fault.  The gather is a strided view of the channel placed
-    beside itself: row k of the view walks the diagonal t -> t + k.  The
-    view is copied to a contiguous m x m array so that each row sums in the
-    same order as before.
+    one; the entries total 1.  Each row passes ``_check_mass``.  The gather
+    is a strided view of the channel placed beside itself: row k of the view
+    walks the diagonal t -> t + k.  The view is copied to a contiguous m x m
+    array so that each row sums in the same order as before.
     """
     import numpy as np
 
-    observed = np.asarray(observed, dtype=float)
+    observed = _float_array(observed, "observed channel")
     if observed.ndim != 2 or observed.shape[0] != observed.shape[1] or observed.size == 0:
         raise DegenerateInput(f"observed channel must be square and non-empty, "
                               f"got {observed.shape}")
     m = observed.shape[0]
-    lowest = observed.min()
-    row_error = float(np.abs(observed.sum(axis=1) - 1.0).max()) if lowest >= 0 else math.nan
-    if not row_error <= NORMALIZATION_TOLERANCE:
-        _raise_bad_mass(observed, "observed channel")
-        raise NotNormalized(f"observed rows must sum to 1, one is off by {row_error:.3g}")
+    _check_mass(observed, "observed channel rows", axis=1)
     doubled = np.concatenate((observed, observed), axis=1)
     step = doubled.itemsize
     # view[k, t] = doubled[t, t + k] = observed[t, (t+k) mod m]
     view = np.lib.stride_tricks.as_strided(doubled, shape=(m, m),
                                            strides=(step, (2 * m + 1) * step), writeable=False)
     return np.ascontiguousarray(view).sum(axis=1) / m
-
-
-def _raise_bad_mass(values: np.ndarray, what: str) -> None:
-    """Raise NonFinite or NegativeMass, in that order, if either applies."""
-    import numpy as np
-
-    if not np.isfinite(values).all():
-        raise NonFinite(f"{what} has a NaN or infinite entry")
-    if (values < 0).any():
-        raise NegativeMass(f"{what} has a negative entry")
-
-
-def _checked_lags(lags: np.ndarray) -> tuple[float, float]:
-    """Return (sum, minimum) of a valid lag vector; raise for an invalid one.
-
-    A vector whose minimum is at least 0 and whose sum is 1 is valid, and
-    that takes one min and one sum.  Anything else is scanned again to
-    raise NonFinite, NegativeMass or NotNormalized, first match in that
-    order.  The sum runs only once the minimum has ruled out NaN and -inf.
-    """
-    lowest = lags.min() if lags.size else 0.0
-    total = float(lags.sum()) if lowest >= 0 else math.nan
-    if not abs(total - 1.0) <= NORMALIZATION_TOLERANCE:
-        _raise_bad_mass(lags, "lag distribution")
-        raise NotNormalized(f"lag distribution sums to {total}, not 1")
-    return total, lowest
 
 
 def gps_objective(observed: np.ndarray, delta: float, d: float, b: float) -> float:
@@ -406,46 +402,32 @@ def gps_objective(observed: np.ndarray, delta: float, d: float, b: float) -> flo
     over true positions is uniform.  Every truth value depends only on the
     lag k = (reported - true) mod m, so every reported cell has the same
     logical probability mean(g) and the information is exactly
-    sum_k h[k]*log2 g(k - delta) - log2(mean g)*sum_k h[k]: an O(m)
-    evaluation on the lag distribution h.  Returns ``-inf`` when a lag with
-    mass has truth value 0 (possible only at b = 1).
-
-    Every call checks its lag vector: one min and one sum accept a valid
-    one, and only a vector that fails them is scanned again to name the
-    fault.  No mask is built when every lag has mass, and below b = 1 no
-    truth value is 0, so no ``-inf`` check runs.  None of this changes a
-    bit of the result.
+    sum_k h[k]*log2 g(k - delta) - log2(mean g)*sum_k h[k] over the lags
+    with mass: an O(m) evaluation on the lag distribution h, after one
+    ``_check_mass`` of h.  Returns ``-inf`` when a lag with mass has truth
+    value 0 (possible only at b = 1).
     """
     import numpy as np
 
+    delta, d, b = _real("shift", delta), _real("spread", d), _real("belief", b)
     require_finite("shift and spread", (delta, d))
     if not d > 0:
         raise OutOfRange(f"spread must be positive, got d={d}")
     require_gaussian_spread("spread", d)
     if not 0.0 <= b <= 1.0:
         raise BeliefOutOfRange(f"belief must lie in [0, 1], got b={b}")
-    lags = np.asarray(observed, dtype=float)
-    if lags.ndim == 1:
-        lags = np.ascontiguousarray(lags)    # the dot product sums in one order
-        total, lowest = _checked_lags(lags)
-    else:
+    lags = _float_array(observed, "observed channel or lag distribution")
+    if lags.ndim != 1:
         lags = lag_distribution(lags)
-        total, lowest = float(lags.sum()), lags.min()
+    lags = np.ascontiguousarray(lags)    # the dot product sums in one order
+    total = float(_check_mass(lags, "lag distribution"))
     m = lags.shape[0]
     truth = b * gaussian_profile(m, delta, d) + (1.0 - b)
-    if lowest > 0:    # every lag has mass
-        mass, kept = lags, truth
-    else:
-        seen = lags > 0
-        mass, kept = lags[seen], truth[seen]
-    if b < 1.0:    # every truth value is at least 1 - b > 0
-        log_truth = np.log2(kept)
-    else:
-        with np.errstate(divide="ignore"):
-            log_truth = np.log2(kept)
-        if np.isneginf(log_truth).any():
-            return float("-inf")
-    return float(mass @ log_truth - math.log2(truth.sum() / m) * total)
+    seen = lags > 0
+    kept = truth[seen]
+    if not kept.min() > 0.0:
+        return float("-inf")
+    return float(lags[seen] @ np.log2(kept) - math.log2(truth.sum() / m) * total)
 
 
 def _gps_newton_terms(lags: np.ndarray, total: float, delta: float, d: float, b: float):
@@ -505,9 +487,10 @@ def _newton_step(grad, hess, free):
 def gps_fit(observed: np.ndarray) -> tuple[float, float, float]:
     """Recover (delta_e, d, b) of the deviation model from an observed channel.
 
-    Reduces the channel to its lag distribution h once (O(m^2)); every
-    evaluation after that is O(m).  Start: the lag with the most mass is the
-    integer shift delta_0 and the median lag the floor.  The parabola through
+    ``observed`` must be a square grid of at least 8 cells, else
+    DegenerateGeometry.  Reduces the channel to its lag distribution h once
+    (O(m^2)); every evaluation after that is O(m).  Start: the lag with the
+    most mass is the integer shift delta_0 and the median lag the floor.  The parabola through
     log(h - floor) at the peak and its two neighbours gives delta at its
     vertex and d = sqrt(-1/curvature) (the half-maximum width / 2.3548 where
     a neighbour is not above the floor or the parabola is not concave), and
@@ -532,10 +515,10 @@ def gps_fit(observed: np.ndarray) -> tuple[float, float, float]:
     """
     import numpy as np
 
-    observed = np.asarray(observed, dtype=float)
-    m = observed.shape[0]
-    if observed.shape != (m, m) or m < 8:
+    observed = _float_array(observed, "observed channel")
+    if observed.ndim != 2 or not observed.shape[0] == observed.shape[1] >= 8:
         raise DegenerateGeometry(f"need a square grid of at least 8 cells, got {observed.shape}")
+    m = observed.shape[0]
     lags = lag_distribution(observed)
     total = float(lags.sum())
 

@@ -37,6 +37,7 @@ from semcal.distributions import NORMALIZATION_TOLERANCE
 from semcal.estimation import TIE_BITS
 from semcal.errors import (
     BeliefOutOfRange,
+    DegenerateGeometry,
     DegenerateInput,
     DuplicateLabel,
     EmptyConditionSubset,
@@ -1186,6 +1187,11 @@ class TestGpsValidation:
         (INF, 3.0, 0.9, NonFinite),
         (0.0, 1e200, 0.9, OutOfRange),      # d**2 overflows
         (0.0, np.float64(1.3407807929942596e154), 0.9, OutOfRange),  # 2*d**2 overflows
+        ("a", 3.0, 0.5, OutOfRange),
+        (0.0, None, 0.5, OutOfRange),
+        (0.0, 3.0, "x", OutOfRange),
+        pytest.param(0.0, 10**400, 0.5, OutOfRange, id="0.0-10**400-0.5-OutOfRange"),
+        (True, 3.0, 0.5, OutOfRange),
     ])
     def test_objective_rejects_bad_parameters(self, delta, d, b, error):
         for observed in (_GOOD_CHANNEL, lag_distribution(_GOOD_CHANNEL)):
@@ -1231,6 +1237,33 @@ class TestGpsValidation:
             call(np.zeros((0, 0)))
         assert info.value.exit_code == 2
 
+    @pytest.mark.parametrize("observed", [
+        np.float64(1.0),
+        np.full(8, 1 / 8),
+        np.full((8, 8, 8), 1 / 8),
+        np.full((8, 9), 1 / 9),
+        np.full((7, 7), 1 / 7),
+        np.zeros((0, 0)),
+    ], ids=["0-d", "1-d", "3-d", "8x9", "7x7", "empty"])
+    def test_fit_needs_square_grid_of_eight(self, observed):
+        with pytest.raises(DegenerateGeometry) as info:
+            gps_fit(observed)
+        assert info.value.exit_code == 2
+
+    @pytest.mark.parametrize("entry", ["a", 1 + 1j], ids=["text", "complex"])
+    @pytest.mark.parametrize("call, position", [
+        (lag_distribution, (2, 3)),
+        (lambda observed: gps_objective(observed, 0.0, 3.0, 0.9), (2, 3)),
+        (lambda observed: gps_objective(observed, 0.0, 3.0, 0.9), 3),
+        (gps_fit, (2, 3)),
+    ], ids=["lag_distribution", "gps_objective", "gps_objective-lags", "gps_fit"])
+    def test_non_number_entries_are_out_of_range(self, call, position, entry):
+        values = (_GOOD_CHANNEL if isinstance(position, tuple) else _GOOD_LAGS).astype(object)
+        values[position] = entry
+        with pytest.raises(OutOfRange) as info:
+            call(values)
+        assert info.value.exit_code == 1
+
 
 def index_gather(observed):
     """Lag distribution by two m x m index arrays: row k holds observed[t, (t+k) mod m]."""
@@ -1240,7 +1273,11 @@ def index_gather(observed):
 
 
 def masked_objective(lags, delta, d, b):
-    """gps_objective on a lag vector without the shortcuts."""
+    """gps_objective on a lag vector, written apart from it.
+
+    The Gaussian is built inline, not by ``gaussian_profile``, and a truth
+    value of 0 is found after the log, not by a minimum before it.
+    """
     m = lags.shape[0]
     dist = (np.arange(m) - delta + m / 2) % m - m / 2
     truth = b * np.exp(-(dist**2) / (2.0 * d**2)) + (1.0 - b)
@@ -1322,3 +1359,43 @@ def test_one_pass_checks_keep_error_class(lags, observed, error):
         with pytest.raises(error) as info, np.errstate(over="ignore"):
             call()
         assert info.value.exit_code == 1
+
+
+def pure_gaussian(m, delta, d):
+    """exp(-x^2/2d^2) at the toroidal offset x of each of m lags from delta, in plain Python."""
+    return [math.exp(-(((k - delta + m / 2) % m - m / 2) ** 2) / (2.0 * d * d)) for k in range(m)]
+
+
+@st.composite
+def lag_belief_problems(draw):
+    m = draw(st.integers(8, 64))
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+                            min_size=m, max_size=m).filter(any))
+    return (m, normalized(weights), draw(st.floats(-float(m), float(m))),
+            draw(st.floats(2.0, m / 4)), draw(st.one_of(st.sampled_from([0.0, 1.0]),
+                                                        st.floats(0.0, 1.0))))
+
+
+class TestPositionModelIsBeliefProblem:
+    """The position model is a belief problem on the lag alphabet.
+
+    Each lag is a letter, the prior over lags is uniform, the sampling
+    distribution is the lag vector h, and the hypothesis is the Gaussian of
+    the lags adjusted by the belief b.  Near b = 0 both sides are a
+    difference of nearly equal sums, so bits below 1e-12 are compared to an
+    absolute 1e-12.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=lag_belief_problems())
+    def test_objective_is_average_semantic_info(self, problem):
+        m, h, delta, d, b = problem
+        lags = Alphabet([f"k{k}" for k in range(m)])
+        gaussian = Tabular(lags, pure_gaussian(m, delta, d))
+        expected = average_semantic_info(belief_adjust(gaussian, b),
+                                         Distribution(lags, [1.0 / m] * m), Distribution(lags, h))
+        got = gps_objective(np.array(h), delta, d, b)
+        if expected == float("-inf"):
+            assert got == expected
+        else:
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
