@@ -35,6 +35,7 @@ Channel rows and lag vectors pass one mass check, ``_check_mass``.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from collections import Counter
 from typing import TYPE_CHECKING
@@ -68,6 +69,11 @@ if TYPE_CHECKING:
 
 #: Most Newton steps ``gps_fit`` takes; a fit from its start converges in far fewer.
 FIT_STEPS = 100
+
+#: Most that one ``gps_fit`` step divides 1 - b by.  Near b = 1 the objective
+#: runs like log(1 - b), and a Newton step from past the optimum back toward
+#: it only doubles 1 - b, so a step that lands far too near 1 is slow to undo.
+BELIEF_SHRINK = 64.0
 
 #: Width of the final bracket of ``_concave_root`` around a belief optimum.
 ROOT_TOL = 1e-9
@@ -335,13 +341,22 @@ def channel_from_samples(samples: SampleSet) -> tuple[Channel, Distribution]:
 
 
 def _float_array(values, what: str) -> np.ndarray:
-    """``values`` as a float array, or OutOfRange for text or complex entries."""
+    """``values`` as a float array, or OutOfRange unless every entry is a real number.
+
+    The kind of the array is checked before the cast, which would parse
+    numeric text and drop the imaginary part of a complex number; the
+    entries of an object array are checked one by one.
+    """
     import numpy as np
 
     try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise OutOfRange(f"{what} must hold real numbers") from None
+        array = np.asarray(values)
+        kind = array.dtype.kind
+        if kind in "biuf" or (kind == "O" and all(isinstance(v, numbers.Real) for v in array.flat)):
+            return array.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise OutOfRange(f"{what} must hold real numbers")
 
 
 def _check_mass(values: np.ndarray, what: str, axis: int | None = None):
@@ -349,19 +364,27 @@ def _check_mass(values: np.ndarray, what: str, axis: int | None = None):
 
     One min and one sum accept a valid array: no entry below 0 and every sum
     within ``NORMALIZATION_TOLERANCE`` of 1.  The sum runs only once the
-    minimum has ruled out NaN and -inf.  Only an array that fails is scanned
-    again, to raise NonFinite, NegativeMass or NotNormalized, first match in
-    that order.
+    minimum has ruled out NaN and -inf.  The one sum of a whole array
+    (``axis`` None) is a float, compared in a tenth of the time of a numpy
+    scalar.  Only an array that fails is scanned again, to raise
+    NonFinite, NegativeMass or NotNormalized, first match in that order.
     """
     import numpy as np
 
-    sums = values.sum(axis=axis) if not values.size or values.min() >= 0 else None
-    if sums is None or not abs(sums - 1.0).max() <= NORMALIZATION_TOLERANCE:
+    sums = off = None
+    if not values.size or values.min() >= 0:
+        if axis is None:
+            sums = float(values.sum())
+            off = abs(sums - 1.0)
+        else:
+            sums = values.sum(axis=axis)
+            off = abs(sums - 1.0).max()
+    if off is None or not off <= NORMALIZATION_TOLERANCE:
         if not np.isfinite(values).all():
             raise NonFinite(f"{what}: an entry is NaN or infinite")
         if (values < 0).any():
             raise NegativeMass(f"{what}: an entry is negative")
-        raise NotNormalized(f"{what}: a sum is off from 1 by {abs(sums - 1.0).max():.3g}")
+        raise NotNormalized(f"{what}: a sum is off from 1 by {off:.3g}")
     return sums
 
 
@@ -494,18 +517,21 @@ def gps_fit(observed: np.ndarray) -> tuple[float, float, float]:
     log(h - floor) at the peak and its two neighbours gives delta at its
     vertex and d = sqrt(-1/curvature) (the half-maximum width / 2.3548 where
     a neighbour is not above the floor or the parabola is not concave), and
-    b = 1 - floor/peak.
+    b = 1 - floor/peak, or 1 - 1/m where more than half the lags are empty
+    and the floor reads 0: from the top of the box a step toward an optimum
+    inside it only doubles 1 - b.
 
     Then bounded Newton ascent on F(delta, d, b), with the gradient and
     Hessian of ``_gps_newton_terms``, in the box delta in [delta_0 - 1,
     delta_0 + 1], d in [2, m/4] grid steps and b in [0, 1 - 1e-9].  A
     coordinate at a bound whose slope points out of the box is held there.
     The step is the Newton step on the others where -H is positive definite
-    on them, else their slope over |H_ii|; it is clipped to the box and
-    halved until the module's ``gps_objective`` on the lag vector does not
-    fall, so the objective never falls.  The fit stops when the predicted
-    gain (slope times step) is below the rounding of F, one ulp of 1 + |F|
-    bits; when the step moves no coordinate by more than 1e-10; or after
+    on them, else their slope over |H_ii|; it is clipped to the box, and
+    1 - b is divided by at most ``BELIEF_SHRINK``; it is halved until the
+    module's ``gps_objective`` on the lag vector does not fall, so the
+    objective never falls.  The fit stops when the predicted gain of the step
+    or of a halved one (slope times move) is below the rounding of F, one ulp
+    of 1 + |F| bits; when it moves no coordinate by more than 1e-10; or after
     ``FIT_STEPS`` steps.  Returns (delta_hat, d_hat, b_hat).
 
     On an exact model channel, (delta_e, d, k/(k+c)) maximizes F.  On 400
@@ -536,7 +562,7 @@ def gps_fit(observed: np.ndarray) -> tuple[float, float, float]:
     if d == 0.0:
         d = np.count_nonzero(lags - floor >= 0.5 * (peak - floor)) / 2.3548
     lo, hi = (anchor - 1.0, 2.0, 0.0), (anchor + 1.0, m / 4.0, 1.0 - 1e-9)
-    point = list(map(min, map(max, (delta, d, 1.0 - floor / peak), lo), hi))
+    point = list(map(min, map(max, (delta, d, 1.0 - (floor or peak / m) / peak), lo), hi))
 
     value = gps_objective(lags, *point)
     for _ in range(FIT_STEPS):
@@ -547,12 +573,13 @@ def gps_fit(observed: np.ndarray) -> tuple[float, float, float]:
         step = [0.0] * 3
         for n, i in enumerate(free):
             step[i] = newton[n] if newton else grad[i] / (abs(hess[i][i]) or 1.0)
-        if not math.fsum(map(operator.mul, grad, step)) / math.log(2.0) > math.ulp(1.0 + abs(value)):
-            break
-        scale = 1.0
+        top = hi[:2] + (min(hi[2], 1.0 - (1.0 - point[2]) / BELIEF_SHRINK),)
+        scale, rounding = 1.0, math.ulp(1.0 + abs(value)) * math.log(2.0)
         while True:
-            trial = list(map(min, map(max, [v + scale * t for v, t in zip(point, step)], lo), hi))
-            if max(map(abs, map(operator.sub, trial, point))) <= 1e-10:
+            trial = list(map(min, map(max, [v + scale * t for v, t in zip(point, step)], lo), top))
+            move = list(map(operator.sub, trial, point))
+            if (not math.fsum(map(operator.mul, grad, move)) > rounding
+                    or max(map(abs, move)) <= 1e-10):
                 return tuple(point)
             trial_value = gps_objective(lags, *trial)
             if trial_value >= value:

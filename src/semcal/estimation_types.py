@@ -192,13 +192,17 @@ class GpsModel(Frozen):
         return k / (k + self.c)
 
     def channel_matrix(self) -> np.ndarray:
-        """Rows P(reported | true) indexed [true, reported], each normalized."""
+        """Rows P(reported | true) indexed [true, reported], each normalized.
+
+        Row t is row 0 rotated t cells to the right, so one row of m
+        exponentials is built and normalized, and the matrix is a copy of a
+        window sliding over that row placed beside itself: row t is
+        ``doubled[m - t : 2m - t]``.  The copy is C-contiguous, writeable and
+        owns its data.
+        """
         import numpy as np
 
         m = self.grid_size
-        k = self.peak_coefficient
-        true_idx = np.arange(m).reshape(-1, 1)
-        rep_idx = np.arange(m).reshape(1, -1)
-        dist = toroidal_offset(rep_idx - self.delta_e - true_idx, m)
-        rows = k * np.exp(-(dist**2) / (2.0 * self.d**2)) + self.c
-        return rows / rows.sum(axis=1, keepdims=True)
+        row = self.peak_coefficient * gaussian_profile(m, self.delta_e, self.d) + self.c
+        doubled = np.tile(row / row.sum(), 2)
+        return np.lib.stride_tricks.sliding_window_view(doubled[1:], m)[::-1].copy()

@@ -1041,6 +1041,21 @@ class TestGpsFit:
         for lags, *_ in calls:
             assert isinstance(lags, np.ndarray) and lags.shape == (200,)
 
+    @pytest.mark.parametrize("observed, most_calls", [
+        ((np.roll(np.eye(64), 3, 1) + np.roll(np.eye(64), 20, 1)) / 2, 9),
+        (GpsModel(100, -33.66, 6.58, 2.4e-6).channel_matrix(), 7),
+    ], ids=["two_point_masses", "floor_far_below_start"])
+    def test_belief_does_not_crawl_back_from_the_top(self, monkeypatch, observed, most_calls):
+        # measured: 9 and 7 calls; 33 and 20 when b started at, or stepped to,
+        # the top 1 - 1e-9 of its box, from where each step toward the optimum
+        # only doubled 1 - b
+        lags = lag_distribution(observed)
+        calls = count_calls(monkeypatch, "gps_objective")
+        delta, d, b = gps_fit(observed)
+        assert len(calls) <= most_calls
+        brent, _ = golden_max(lambda x: gps_objective(lags, delta, d, x), 0.0, 1.0 - 1e-9)
+        assert b == pytest.approx(brent, abs=1e-6)
+
     @settings(max_examples=100, deadline=None)
     @given(problem=gps_points())
     def test_derivatives_match_central_differences(self, problem):
@@ -1065,6 +1080,76 @@ class TestGpsFit:
                     curve / (4.0 * k * k), rel=1e-5, abs=1e-6)
 
 
+def exact_offset_row(m, delta, d, c):
+    """Row 0 of a GpsModel channel from exact toroidal offsets.
+
+    The offset of each lag j from the shift and x^2/2d^2 are Fractions; only
+    that exponent is rounded, once, before ``math.exp``.  The peak
+    coefficient takes the exact offsets from 0, and both sums are
+    ``math.fsum``.
+    """
+    def gaussian(shift):
+        half, spread = Fraction(m, 2), 2 * Fraction(d) ** 2
+        offsets = [(j - shift + half) % m - half for j in range(m)]
+        return [math.exp(-float(x * x / spread)) for x in offsets]
+
+    peak = (1.0 - m * c) / math.fsum(gaussian(Fraction(0)))
+    row = [peak * g + c for g in gaussian(Fraction(delta))]
+    total = math.fsum(row)
+    return np.array([v / total for v in row])
+
+
+def channel_rounding_bound(m, delta, d):
+    """Largest error of a channel entry from rounding, as a share of the row maximum.
+
+    With u = 2^-53, a build that computes the offset of a lag from the shift
+    and wraps it on the ring rounds at most five values, each below
+    2.5m + |delta| (``(r - delta) - t`` of the dense build reaches 2m +
+    |delta| before the wrap adds m/2), so the offset is off by at most
+    eps = 16u(m + |delta|).  The Gaussian's slope is at most e^-1/2 / d, so
+    an entry moves by at most 0.7 eps/d of the row maximum (the largest
+    Gaussian value is at least e^-1/8); the slopes at the m lags sum to at
+    most 2 + 1.22/d, so the row sum moves by at most 3 eps of itself, and
+    every entry by at most 3 eps of the row maximum.  The exponentials,
+    products and quotient add a few u, the sum of m entries at most
+    (m - 1)u, and the reference a few u more: (m + 10)u in all.
+    """
+    u = 2.0**-53
+    eps = 16.0 * u * (m + abs(delta))
+    return eps * (1.0 / d + 3.0) + (m + 10) * u
+
+
+def dense_channel(m, delta_e, d, c):
+    """The channel from an m x m offset matrix: ``(r - delta_e) - t`` for every (t, r)."""
+    k = np.arange(m, dtype=float)
+    offsets = np.where(k > m / 2, k - m, k)
+    profile_sum = float(np.exp(-(offsets**2) / (2.0 * d**2)).sum())
+    peak = (1.0 - m * c) / profile_sum
+    true_idx = np.arange(m).reshape(-1, 1)
+    rep_idx = np.arange(m).reshape(1, -1)
+    raw = rep_idx - delta_e - true_idx
+    dist = (raw + m / 2) % m - m / 2
+    rows = peak * np.exp(-(dist**2) / (2.0 * d**2)) + c
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+def check_channel_matrix(m, delta_e, d, c):
+    """Rows are exact rotations of row 0, which is within rounding of the exact one.
+
+    The dense build is held to the same bound, so that the bound is not
+    fitted to one way of rounding.
+    """
+    channel = GpsModel(grid_size=m, delta_e=delta_e, d=d, c=c).channel_matrix()
+    reference = exact_offset_row(m, delta_e, d, c)
+    tol = channel_rounding_bound(m, delta_e, d) * reference.max()
+    for t, row in enumerate(channel):
+        assert np.array_equal(row, np.roll(channel[0], t))
+    assert np.abs(channel[0] - reference).max() <= tol
+    dense = dense_channel(m, delta_e, d, c)
+    for t, row in enumerate(dense):
+        assert np.abs(row - np.roll(reference, t)).max() <= tol
+
+
 class TestGpsModelChannel:
     def test_numpy_integer_grid_size(self):
         model = GpsModel(grid_size=np.int64(64), delta_e=3, d=5.0, c=0.001)
@@ -1075,18 +1160,22 @@ class TestGpsModelChannel:
         (200, 3, 6.0, 0.001), (201, -2.5, 5.0, 0.0), (64, 7.25, 4.0, 0.002), (9, 0.5, 2.0, 0.01),
     ])
     def test_channel_matrix_matches_dense_formula(self, m, delta_e, d, c):
-        k = np.arange(m, dtype=float)
-        offsets = np.where(k > m / 2, k - m, k)
-        profile_sum = float(np.exp(-(offsets**2) / (2.0 * d**2)).sum())
-        peak = (1.0 - m * c) / profile_sum
-        true_idx = np.arange(m).reshape(-1, 1)
-        rep_idx = np.arange(m).reshape(1, -1)
-        raw = rep_idx - delta_e - true_idx
-        dist = (raw + m / 2) % m - m / 2
-        rows = peak * np.exp(-(dist**2) / (2.0 * d**2)) + c
-        expected = rows / rows.sum(axis=1, keepdims=True)
-        model = GpsModel(grid_size=m, delta_e=delta_e, d=d, c=c)
-        assert np.array_equal(model.channel_matrix(), expected)
+        check_channel_matrix(m, delta_e, d, c)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(8, 400), delta_e=st.floats(-20.0, 20.0), d=st.floats(2.0, 30.0),
+           floor_share=st.floats(0.0, 0.9))
+    def test_channel_matrix_within_rounding_of_exact_offsets(self, m, delta_e, d, floor_share):
+        check_channel_matrix(m, delta_e, d, floor_share / m)
+
+    def test_channel_matrix_is_an_owned_writeable_copy(self):
+        # a window view over the doubled row is read-only, and every row aliases it
+        channel = GpsModel(grid_size=16, delta_e=1.5, d=3.0, c=0.01).channel_matrix()
+        assert channel.flags.c_contiguous and channel.flags.writeable and channel.flags.owndata
+        before = channel.copy()
+        channel[3, 5] = -1.0
+        before[3, 5] = -1.0
+        assert np.array_equal(channel, before)
 
 
 def dense_gps_objective(observed, delta, d, b):
@@ -1263,6 +1352,25 @@ class TestGpsValidation:
         with pytest.raises(OutOfRange) as info:
             call(values)
         assert info.value.exit_code == 1
+
+    @pytest.mark.parametrize("dtype, entry", [
+        (complex, 0.1j), (complex, 0.0), (str, "0.5"), (object, "0.5"), (object, None),
+    ], ids=["complex-entry", "complex-dtype", "numeric-text", "object-numeric-text", "object-none"])
+    @pytest.mark.parametrize("call", [lag_distribution, gps_fit,
+                                      lambda observed: gps_objective(observed, 0.0, 3.0, 0.9)],
+                             ids=["lag_distribution", "gps_fit", "gps_objective"])
+    def test_non_real_arrays_are_out_of_range(self, call, dtype, entry):
+        # a float cast would drop the imaginary part or parse the text
+        values = _GOOD_CHANNEL.astype(dtype)
+        values[2, 3] = entry
+        with pytest.raises(OutOfRange) as info:
+            call(values)
+        assert info.value.exit_code == 1
+
+    def test_object_array_of_reals_is_accepted(self):
+        values = _GOOD_CHANNEL.astype(object)
+        values[2, 3] = Fraction(values[2, 3])
+        assert np.array_equal(lag_distribution(values), _GOOD_LAGS)
 
 
 def index_gather(observed):
