@@ -24,7 +24,8 @@ from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
 from .distributions import (Alphabet, Distribution, Frozen, _kl_bits, bayes_invert,
-                            kl_divergence, require_finite, require_masses)
+                            kl_divergence, require_count, require_finite, require_masses,
+                            require_unit_interval)
 from .errors import (
     DegenerateGeometry,
     DegenerateRates,
@@ -32,7 +33,6 @@ from .errors import (
     EmptyRow,
     IndexMismatch,
     NegativeMass,
-    OutOfRange,
     UnknownKind,
     ZeroDenominator,
     ZeroSensitivity,
@@ -95,7 +95,7 @@ class ContingencyTable(Frozen):
     def __init__(self, n11: float, n10: float, n01: float, n00: float):
         counts = (n11, n10, n01, n00)
         require_finite("counts", counts)
-        if any(c < 0 for c in counts):
+        if min(counts) < 0:
             raise NegativeMass(f"counts must be >= 0: {counts}")
         if sum(counts) <= 0:
             raise EmptyRow("contingency table is empty")
@@ -140,14 +140,9 @@ def doc_from_rates(spec: RateSpec, hypothesis: str = "affirmative") -> DocResult
     p0, p1 = spec.prior
     q0, q1 = spec.posterior
 
-    if p1 == 0.0 and q1 > 0.0:
-        raise DegenerateRates("prior gives positive examples zero mass but posterior does not")
-    if p0 == 0.0 and q0 > 0.0:
-        raise DegenerateRates("prior gives counterexamples zero mass but posterior does not")
-    if p0 == 0.0 and q0 == 0.0:
-        raise DegenerateRates("no counterexample mass anywhere; belief is unidentified")
-    if p1 == 0.0 and q1 == 0.0:
-        raise DegenerateRates("no positive-example mass anywhere; belief is unidentified")
+    if p0 == 0.0 or p1 == 0.0:
+        raise DegenerateRates(f"prior masses {spec.prior} leave counterexamples or positive "
+                              "examples without mass, so the belief is undefined")
 
     # Selection rates up to a common factor: Q0/P0 and Q1/P1, cross-multiplied
     # so that Q0/Q1 <= P0/P1 is the proper branch (safe for zero masses).
@@ -201,11 +196,7 @@ def doc_from_test(sensitivity: float, specificity: float,
     base rate) is supplied, each result carries the average information of
     the reading, which does depend on the prior.
     """
-    require_finite("sensitivity and specificity", (sensitivity, specificity))
-    if not 0.0 <= sensitivity <= 1.0:
-        raise OutOfRange(f"sensitivity must lie in [0,1], got {sensitivity}")
-    if not 0.0 <= specificity <= 1.0:
-        raise OutOfRange(f"specificity must lie in [0,1], got {specificity}")
+    require_unit_interval("sensitivity and specificity", (sensitivity, specificity))
     if sensitivity == 0.0:
         raise ZeroSensitivity("sensitivity is 0: the test never reads positive")
 
@@ -214,9 +205,7 @@ def doc_from_test(sensitivity: float, specificity: float,
 
     if prior_positive is None:
         return DocResult(*positive), DocResult(*negative)
-    require_finite("prior_positive", (prior_positive,))
-    if not 0.0 <= prior_positive <= 1.0:
-        raise OutOfRange(f"prior_positive must lie in [0,1], got {prior_positive}")
+    require_unit_interval("prior_positive", (prior_positive,))
     prior = Distribution(Alphabet(("e1", "e0")), (prior_positive, 1.0 - prior_positive))
     pos_sampling = bayes_invert(prior, (sensitivity, 1.0 - specificity))
     neg_sampling = bayes_invert(prior, (1.0 - sensitivity, specificity))
@@ -234,12 +223,15 @@ def gps_cep_doc(cep_fraction, in_circle_cells: int, total_cells: int) -> DocResu
     """
     from fractions import Fraction
 
-    n = int(in_circle_cells)
-    N = int(total_cells)
+    n = require_count("in_circle_cells", in_circle_cells)
+    N = require_count("total_cells", total_cells)
     if n <= 0 or N <= n:
         raise DegenerateGeometry(f"need 0 < n < N, got n={n}, N={N}")
     require_finite("cep fraction", (cep_fraction,))
-    f = Fraction(cep_fraction)
+    try:
+        f = Fraction(cep_fraction)
+    except TypeError:   # a numpy float32 or float16, which Fraction does not take
+        f = Fraction(float(cep_fraction))
     if not 0 < f < 1:
         raise DegenerateGeometry(f"cep fraction must lie in (0,1), got {f}")
     return DocResult(*doc_from_ratio(counter_rate=(1 - f) / (N - n), positive_rate=f / n))
@@ -250,11 +242,7 @@ def predicted_probability(p_e1: float, b_prime_star: float) -> float:
 
     P(e1 | h^b*) = P(e1) / (P(e1) + b'* (1 - P(e1))).
     """
-    require_finite("p_e1 and b_prime_star", (p_e1, b_prime_star))
-    if not 0.0 <= p_e1 <= 1.0:
-        raise OutOfRange(f"p_e1 must lie in [0,1], got {p_e1}")
-    if not 0.0 <= b_prime_star <= 1.0:
-        raise OutOfRange(f"b_prime_star must lie in [0,1], got {b_prime_star}")
+    require_unit_interval("p_e1 and b_prime_star", (p_e1, b_prime_star))
     denom = p_e1 + b_prime_star * (1.0 - p_e1)
     if denom == 0.0:
         raise ZeroDenominator("both p_e1 and b_prime_star are zero")

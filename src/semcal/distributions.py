@@ -8,6 +8,7 @@ The convention 0*log2(0/p) = 0 is used throughout.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 from .errors import (
@@ -28,13 +29,36 @@ NORMALIZATION_TOLERANCE = 1e-9
 
 
 def require_finite(what: str, values) -> None:
-    """Raise NonFinite unless every value is a finite number.
+    """Raise OutOfRange unless every value is a real number, NonFinite if one is NaN or ±inf.
 
-    Range guards are comparisons, and every comparison with NaN is false,
-    so constructors call this before they check ranges.
+    Real numbers are what ``math.isfinite`` takes, not text, None, complex
+    numbers or ints beyond float range.  Range guards are comparisons, and a
+    comparison with NaN is false, so constructors call this before them.
     """
-    if not all(map(math.isfinite, values)):
-        raise NonFinite(f"{what} must be finite, got {values}")
+    try:
+        if all(map(math.isfinite, values)):
+            return
+    except (TypeError, OverflowError):
+        raise OutOfRange(f"{what}: expected real numbers within float range, "
+                         f"got {values!r}") from None
+    raise NonFinite(f"{what} must be finite, got {values}")
+
+
+def require_unit_interval(what: str, values) -> None:
+    """``require_finite``, then OutOfRange unless every value lies in [0, 1]."""
+    require_finite(what, values)
+    if min(values) < 0 or max(values) > 1:
+        raise OutOfRange(f"{what} must lie in [0, 1], got {values}")
+
+
+def require_count(what: str, value) -> int:
+    """``value`` as an int, or OutOfRange: a float (even 2.0), a bool and text are refused."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise OutOfRange(f"{what} must be an integer, got {value!r}")
 
 
 def require_masses(what: str, values) -> float:
@@ -137,12 +161,12 @@ class Distribution(Frozen):
     probs: tuple[float, ...]
 
     def __init__(self, alphabet: Alphabet, probs: Sequence[float]):
-        probs = tuple(float(p) for p in probs)
+        probs = tuple(probs)
         if len(probs) != len(alphabet):
             raise AlphabetMismatch(
                 f"{len(probs)} probabilities for {len(alphabet)} labels")
         total = require_masses("probabilities", probs)
-        probs = tuple(p / total for p in probs)
+        probs = tuple([float(p) / total for p in probs])
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "probs", probs)
 
@@ -152,6 +176,7 @@ class Distribution(Frozen):
 
 def pointwise_info(posterior_prob: float, prior_prob: float) -> float:
     """log2(posterior/prior) in bits; -inf when the posterior is 0."""
+    require_finite("posterior and prior probabilities", (posterior_prob, prior_prob))
     if prior_prob <= 0:
         raise ZeroPrior(f"prior probability must be positive, got {prior_prob}")
     if posterior_prob < 0:
@@ -161,7 +186,7 @@ def pointwise_info(posterior_prob: float, prior_prob: float) -> float:
     return math.log2(posterior_prob / prior_prob)
 
 
-def _require_same_alphabet(a: Distribution, b: Distribution) -> None:
+def _require_same_alphabet(a, b) -> None:
     if a.alphabet.labels != b.alphabet.labels:
         raise AlphabetMismatch(
             f"alphabets differ: {a.alphabet.labels} vs {b.alphabet.labels}")
@@ -203,13 +228,12 @@ def _kl_or_inf(q: Distribution, p: Distribution) -> float:
 
 def bayes_invert(prior: Distribution, channel_row: Sequence[float]) -> Distribution:
     """Posterior P(E|h) from prior P(E) and a selecting-rule row P(h|E)."""
-    row = [float(v) for v in channel_row]
+    row = tuple(channel_row)
     if len(row) != len(prior.alphabet):
         raise AlphabetMismatch(
             f"channel row length {len(row)} != alphabet size {len(prior.alphabet)}")
-    if any(v < 0 or v > 1 for v in row):
-        raise OutOfRange(f"channel row values must lie in [0,1]: {row}")
-    joint = [p * v for p, v in zip(prior.probs, row)]
+    require_unit_interval("channel row values", row)
+    joint = [p * float(v) for p, v in zip(prior.probs, row)]
     mass = math.fsum(joint)
     if mass <= 0:
         raise ZeroSelectionMass("prior puts no mass where the channel row is positive")

@@ -66,7 +66,7 @@ class NonFinite(ValidationError):
 
 
 class OutOfRange(ValidationError):
-    """A scalar parameter lies outside its domain."""
+    """A value lies outside its domain, or is not a real number (or an integer) at all."""
 
 
 class UnknownKind(ValidationError):

@@ -45,6 +45,7 @@ from .distributions import (
     NORMALIZATION_TOLERANCE,
     Distribution,
     _require_same_alphabet,
+    require_count,
     require_finite,
 )
 from .errors import (
@@ -105,6 +106,8 @@ def optimal_truth_function(channel: Channel, j: int) -> TruthFunction:
     truth function the semantic Bayes prediction reproduces P(E|h_j) and the
     average semantic information attains its KL upper bound.
     """
+    if not 0 <= require_count("hypothesis index", j) < len(channel.hypotheses):
+        raise OutOfRange(f"hypothesis index {j} is not below {len(channel.hypotheses)}")
     row = channel.row(j)
     peak = max(row)
     if peak <= 0:

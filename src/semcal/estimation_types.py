@@ -11,10 +11,10 @@ inside the functions that use it, not at module load: it is the bulk of
 from __future__ import annotations
 
 import math
-import operator
 from typing import TYPE_CHECKING, Sequence
 
-from .distributions import NORMALIZATION_TOLERANCE, Alphabet, Frozen, require_finite
+from .distributions import (NORMALIZATION_TOLERANCE, Alphabet, Frozen, require_count,
+                            require_finite, require_unit_interval)
 from .errors import (
     DegenerateGeometry,
     DuplicateLabel,
@@ -47,7 +47,7 @@ class Channel(Frozen):
         hypotheses = tuple(str(h) for h in hypotheses)
         if len(set(hypotheses)) != len(hypotheses):
             raise DuplicateLabel(f"duplicate hypothesis names: {hypotheses}")
-        rows = tuple(tuple(float(v) for v in row) for row in matrix)
+        rows = tuple(map(tuple, matrix))
         if len(rows) != len(hypotheses):
             raise IndexMismatch(
                 f"{len(rows)} rows for {len(hypotheses)} hypotheses")
@@ -55,9 +55,8 @@ class Channel(Frozen):
             if len(row) != len(alphabet):
                 raise IndexMismatch(
                     f"row length {len(row)} != alphabet size {len(alphabet)}")
-            require_finite("channel values", row)
-            if any(v < 0 or v > 1 for v in row):
-                raise OutOfRange(f"channel values must lie in [0,1]: {row}")
+            require_unit_interval("channel values", row)
+        rows = tuple([tuple(map(float, row)) for row in rows])
         for i in range(len(alphabet)):
             col = math.fsum(row[i] for row in rows)
             if abs(col - 1.0) > NORMALIZATION_TOLERANCE:
@@ -154,13 +153,7 @@ class GpsModel(Frozen):
     c: float
 
     def __init__(self, grid_size: int, delta_e: float, d: float, c: float):
-        try:
-            operator.index(grid_size)
-        except TypeError:
-            raise OutOfRange(f"grid_size must be an integer, got {grid_size!r}") from None
-        if isinstance(grid_size, bool):
-            raise OutOfRange(f"grid_size must be an integer, got {grid_size!r}")
-        if grid_size < 2:
+        if require_count("grid_size", grid_size) < 2:
             raise DegenerateGeometry(f"grid_size must be >= 2, got {grid_size}")
         delta_e, d, c = _real("delta_e", delta_e), _real("d", d), _real("c", c)
         require_finite("delta_e, d and c", (delta_e, d, c))

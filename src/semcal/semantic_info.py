@@ -23,7 +23,7 @@ from .distributions import (
     bayes_invert,
     kl_divergence,
 )
-from .errors import AlphabetMismatch, IndexMismatch
+from .errors import IndexMismatch
 from .truth_functions import TruthFunction, semantic_bayes, truth_and_logical_probability
 
 if TYPE_CHECKING:
@@ -85,8 +85,7 @@ def semantic_mutual_info(channel: Channel, prior: Distribution,
     Weights each hypothesis by its selection probability P(h_j) and uses the
     Bayes-inverted sampling distribution P(E | h_j) from the channel row.
     """
-    if channel.alphabet.labels != prior.alphabet.labels:
-        raise AlphabetMismatch("channel and prior alphabets differ")
+    _require_same_alphabet(channel, prior)
     if len(tfs) != len(channel.hypotheses):
         raise IndexMismatch(
             f"{len(tfs)} truth functions for {len(channel.hypotheses)} hypotheses")

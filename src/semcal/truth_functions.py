@@ -16,7 +16,7 @@ import math
 from abc import ABC, abstractmethod
 from typing import Mapping, Sequence
 
-from .distributions import Alphabet, Distribution, Frozen, require_finite
+from .distributions import Alphabet, Distribution, Frozen, require_finite, require_unit_interval
 from .errors import (
     AlphabetMismatch,
     BeliefOutOfRange,
@@ -82,7 +82,7 @@ class Gaussian(TruthFunction, Frozen):
 
     def __init__(self, center: float, stddev: float,
                  positions: Mapping[str, float] | None = None):
-        require_finite("center and stddev", (center, stddev))
+        require_finite("center, stddev, positions", (center, stddev, *(positions or {}).values()))
         if stddev <= 0:
             raise OutOfRange(f"stddev must be positive, got {stddev}")
         object.__setattr__(self, "center", center)
@@ -111,15 +111,13 @@ class Tabular(TruthFunction, Frozen):
     table: tuple[float, ...]
 
     def __init__(self, alphabet: Alphabet, table: Sequence[float]):
-        table = tuple(float(v) for v in table)
+        table = tuple(table)
         if len(table) != len(alphabet):
             raise AlphabetMismatch(
                 f"{len(table)} values for {len(alphabet)} labels")
-        require_finite("truth values", table)
-        if any(v < 0 or v > 1 for v in table):
-            raise OutOfRange(f"truth values must lie in [0,1]: {table}")
+        require_unit_interval("truth values", table)
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", tuple(map(float, table)))
 
     def value(self, e) -> float:
         return self.table[self.alphabet.index(e)]
@@ -137,10 +135,11 @@ class BeliefAdjusted(TruthFunction, Frozen):
     belief: float
 
     def __init__(self, base: TruthFunction, belief: float):
+        require_finite("belief", (belief,))
         if not -1.0 <= belief <= 1.0:
             raise BeliefOutOfRange(f"belief must lie in [-1,1], got {belief}")
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "belief", belief)
+        object.__setattr__(self, "belief", float(belief))
 
     # A negative belief -c is the belief c in the complement 1 - t: written
     # (1 - c) + c*(1 - t), not 1 - c*t, it keeps its relative accuracy where
@@ -160,18 +159,6 @@ class BeliefAdjusted(TruthFunction, Frozen):
         return tuple(offset + b * t for t in truth)
 
 
-class Negated(TruthFunction, Frozen):
-    """Zadeh complement 1 - t(e)."""
-
-    base: TruthFunction
-
-    def __init__(self, base: TruthFunction):
-        object.__setattr__(self, "base", base)
-
-    def value(self, e) -> float:
-        return 1.0 - self.base.value(e)
-
-
 def tautology(alphabet: Alphabet) -> TruthFunction:
     return Tabular(alphabet, (1.0,) * len(alphabet))
 
@@ -181,20 +168,24 @@ def contradiction(alphabet: Alphabet) -> TruthFunction:
 
 
 def negate(tf: TruthFunction) -> TruthFunction:
-    """Pointwise complement; crisp and tabular forms stay in their own class."""
+    """Pointwise complement; crisp and tabular forms stay in their own class.
+
+    Any other ``tf`` is complemented as the belief -1 in it, which is 1 - t
+    exactly, and that complement's complement is ``tf`` itself.
+    """
     if isinstance(tf, Crisp):
         complement = frozenset(tf.alphabet.labels) - tf.positive_set
         return Crisp(tf.alphabet, complement)
     if isinstance(tf, Tabular):
         return Tabular(tf.alphabet, tuple(1.0 - v for v in tf.table))
-    if isinstance(tf, Negated):
+    if isinstance(tf, BeliefAdjusted) and tf.belief == -1.0:
         return tf.base
-    return Negated(tf)
+    return BeliefAdjusted(tf, -1.0)
 
 
 def belief_adjust(tf: TruthFunction, b: float) -> TruthFunction:
     """Attach a degree of belief b in [-1, 1] to ``tf``."""
-    return BeliefAdjusted(tf, float(b))
+    return BeliefAdjusted(tf, b)
 
 
 def logical_probability(tf: TruthFunction, prior: Distribution) -> float:

@@ -1,6 +1,6 @@
 """The immutable value classes behave as frozen value types.
 
-For each of the 13 value classes: equality over its fields (and its class),
+For each of the 12 value classes: equality over its fields (and its class),
 equal hashes for equal objects, the ``Name(field=value, ...)`` repr, no
 assignment or deletion of a field, round trips through ``pickle``,
 ``copy.copy`` and ``copy.deepcopy``, and construction by keyword or by
@@ -15,7 +15,7 @@ import pytest
 from semcal.confirmation import ContingencyTable, DocCase, DocResult, RateSpec
 from semcal.distributions import Alphabet, Distribution
 from semcal.estimation_types import Channel, GpsModel, SampleSet
-from semcal.truth_functions import BeliefAdjusted, Crisp, Gaussian, Negated, Tabular
+from semcal.truth_functions import BeliefAdjusted, Crisp, Gaussian, Tabular
 
 AB = Alphabet(("a", "b"))
 BA = Alphabet(("b", "a"))
@@ -53,11 +53,9 @@ CASES = {
     "Tabular": (Tabular, {"alphabet": AB, "table": (0.25, 1)},
                 {"alphabet": BA, "table": (0.25, 1)}, TAB_REPR),
     "BeliefAdjusted": (
-        BeliefAdjusted, {"base": Negated(TAB), "belief": -0.5},
+        BeliefAdjusted, {"base": Gaussian(0.0, 1.5), "belief": -0.5},
         {"base": TAB, "belief": -0.5},
-        f"BeliefAdjusted(base=Negated(base={TAB_REPR}), belief=-0.5)"),
-    "Negated": (Negated, {"base": TAB}, {"base": Tabular(AB, (0.5, 1.0))},
-                f"Negated(base={TAB_REPR})"),
+        "BeliefAdjusted(base=Gaussian(center=0.0, stddev=1.5, positions=None), belief=-0.5)"),
     "Channel": (
         Channel, {"alphabet": AB, "hypotheses": ("h1", "h0"), "matrix": ((1, 0.25), (0, 0.75))},
         {"alphabet": AB, "hypotheses": ("h0", "h1"), "matrix": ((1, 0.25), (0, 0.75))},
