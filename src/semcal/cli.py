@@ -43,7 +43,7 @@ from .confirmation import (
     doc_h2_from_table,
     raven_increments,
 )
-from .distributions import Alphabet, Distribution
+from .distributions import Alphabet, Distribution, bayes_invert
 from .errors import ParseError, SemcalError
 
 if TYPE_CHECKING:
@@ -266,9 +266,9 @@ def cmd_msie(args, record: dict) -> int:
     inputs["records"] = len(samples)
     for j, name in enumerate(channel.hypotheses):
         tf = estimation.optimal_truth_function(channel, j)
-        peak_label = channel.alphabet.labels[max(
-            range(len(tf.table)), key=lambda i: tf.table[i])]
-        sampling = estimation.empirical_conditional(samples, {name})
+        # the max-normalized row is 1.0 exactly where the row peaks, below it elsewhere
+        peak_label = channel.alphabet.labels[tf.table.index(1.0)]
+        sampling = bayes_invert(prior, channel.row(j))    # P(E|h_j) by Bayes' rule
         result = estimation.optimize_belief(Crisp(channel.alphabet, {peak_label}), prior,
                                             sampling)
         outputs[name] = {

@@ -20,6 +20,7 @@ continuous relaxation.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
@@ -28,6 +29,7 @@ from .distributions import (Alphabet, Distribution, Frozen, _kl_bits, bayes_inve
                             require_unit_interval)
 from .errors import (
     DegenerateGeometry,
+    DegenerateInput,
     DegenerateRates,
     EmptyColumn,
     EmptyRow,
@@ -252,12 +254,17 @@ def predicted_probability(p_e1: float, b_prime_star: float) -> float:
 def raven_increments(t: ContingencyTable) -> tuple[float, float]:
     """How much one more positive example of each kind raises b* of s1 -> s2.
 
-    Returns (db*/dn11, db*/dn00) under the continuous relaxation of counts.
+    Returns (db*/dn11, db*/dn00) under the continuous relaxation of counts,
+    each from the share n10/(n00 + n10) <= 1 so that no product of counts
+    overflows; one beyond float range raises DegenerateInput.
     """
     if t.n11 <= 0:
         raise EmptyRow("derivatives need n11 > 0")
     if t.n00 + t.n10 <= 0:
         raise EmptyRow("derivatives need n00 + n10 > 0")
-    d_n11 = (t.n10 * t.n01) / ((t.n00 + t.n10) * t.n11**2)
-    d_n00 = (t.n10 * (t.n01 + t.n11)) / (t.n11 * (t.n00 + t.n10) ** 2)
+    share = t.n10 / (t.n00 + t.n10)
+    d_n11 = share * t.n01 / t.n11 / t.n11
+    d_n00 = share * (t.n01 + t.n11) / t.n11 / (t.n00 + t.n10)
+    if not (math.isfinite(d_n11) and math.isfinite(d_n00)):
+        raise DegenerateInput(f"raven increments of {t} overflow float arithmetic")
     return d_n11, d_n00

@@ -63,7 +63,7 @@ from .errors import (
 from .estimation_types import (Channel, SampleSet, _real, gaussian_profile,
                                require_gaussian_spread, toroidal_offset)
 from .semantic_info import average_semantic_info
-from .truth_functions import Crisp, Tabular, TruthFunction, belief_adjust
+from .truth_functions import Tabular, TruthFunction, belief_adjust
 
 if TYPE_CHECKING:
     import numpy as np
@@ -252,11 +252,11 @@ def optimize_belief(base_tf: TruthFunction, prior: Distribution,
     """Degree of confirmation of a general (possibly fuzzy) hypothesis.
 
     Maximizes the average semantic information f(b) of the belief-adjusted
-    hypothesis over b in [-1, 1].  A base that is not a ``Tabular`` or a
-    ``Crisp`` on the prior's alphabet is evaluated once, into a ``Tabular``;
-    those two are used as they are, since their truth vectors are valid and
-    cheap to read again.  The sampling mass is grouped by truth value once
-    (``_belief_groups``).  The maximizer on a branch is the root of
+    hypothesis over b in [-1, 1].  A base that is not a ``Tabular`` on the
+    prior's alphabet is evaluated once, into a ``Tabular``; a ``Tabular``,
+    which every crisp truth function is, is used as it is, since its truth
+    vector is valid and stored.  The sampling mass is grouped by truth value
+    once (``_belief_groups``).  The maximizer on a branch is the root of
     k = H - LP (see the module docstring): closed form for at most two
     truth values where q > 0 (``_two_group_root``, on the branch's own
     groups), else found by ``_concave_root`` from the end of the branch,
@@ -283,7 +283,7 @@ def optimize_belief(base_tf: TruthFunction, prior: Distribution,
     evidence that carries no information (sampling equal to the prior)
     gives b* = 0.0 exactly, and no result has negative bits.
     """
-    if isinstance(base_tf, (Tabular, Crisp)) and base_tf.alphabet.labels == prior.alphabet.labels:
+    if isinstance(base_tf, Tabular) and base_tf.alphabet.labels == prior.alphabet.labels:
         base = base_tf
     else:
         base = Tabular(prior.alphabet, base_tf.values(prior.alphabet))

@@ -42,32 +42,6 @@ class TruthFunction(ABC):
         return tuple(self.value(label) for label in alphabet)
 
 
-class Crisp(TruthFunction, Frozen):
-    """Classical (0/1) truth function of a subset of the alphabet."""
-
-    alphabet: Alphabet
-    positive_set: frozenset
-
-    def __init__(self, alphabet: Alphabet, positive_set):
-        positive_set = frozenset(positive_set)
-        for label in positive_set:
-            if label not in alphabet:
-                raise UnknownLabel(f"{label!r} not in alphabet {alphabet.labels}")
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "positive_set", positive_set)
-
-    def value(self, e) -> float:
-        if e not in self.alphabet:
-            raise UnknownLabel(f"{e!r} not in alphabet {self.alphabet.labels}")
-        return 1.0 if e in self.positive_set else 0.0
-
-    def values(self, alphabet: Alphabet) -> tuple[float, ...]:
-        if alphabet.labels == self.alphabet.labels:
-            positive = self.positive_set
-            return tuple([1.0 if label in positive else 0.0 for label in alphabet.labels])
-        return super().values(alphabet)
-
-
 class Gaussian(TruthFunction, Frozen):
     """Bell-shaped truth function of a numeric estimation "E is about center".
 
@@ -90,14 +64,12 @@ class Gaussian(TruthFunction, Frozen):
         object.__setattr__(self, "positions", positions)
 
     def _position(self, e) -> float:
-        if isinstance(e, (int, float)):
-            return float(e)
         try:
-            if self.positions is not None and e in self.positions:
-                return float(self.positions[e])
-            return float(e)
+            x = float((self.positions or {}).get(e, e))
         except (TypeError, ValueError):
             raise UnknownLabel(f"no numeric position for label {e!r}") from None
+        require_finite("evidence position", (x,))
+        return x
 
     def value(self, e) -> float:
         x = self._position(e)
@@ -126,6 +98,26 @@ class Tabular(TruthFunction, Frozen):
         if alphabet.labels == self.alphabet.labels:
             return self.table
         return super().values(alphabet)
+
+
+class Crisp(Tabular):
+    """Classical (0/1) truth function of a subset of the alphabet.
+
+    A ``Tabular`` whose ``table``, the 0/1 vector, is built once here.
+    """
+
+    alphabet: Alphabet
+    positive_set: frozenset
+
+    def __init__(self, alphabet: Alphabet, positive_set):
+        positive_set = frozenset(positive_set)
+        for label in positive_set:
+            if label not in alphabet:
+                raise UnknownLabel(f"{label!r} not in alphabet {alphabet.labels}")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "positive_set", positive_set)
+        object.__setattr__(self, "table", tuple(
+            [1.0 if label in positive_set else 0.0 for label in alphabet.labels]))
 
 
 class BeliefAdjusted(TruthFunction, Frozen):

@@ -1,14 +1,22 @@
 import json
+import random
 
 import pytest
 
 from semcal import (
     ContingencyTable,
+    Crisp,
+    bayes_invert,
+    channel_from_samples,
     doc_h1_from_table,
     doc_h2_from_table,
+    empirical_conditional,
+    optimal_truth_function,
+    optimize_belief,
     raven_increments,
 )
-from semcal.cli import _read_pairs, main
+from semcal import estimation
+from semcal.cli import _read_pairs, _read_samples, main
 from semcal.errors import ParseError
 from semcal.reproduce import reproduce_rows
 
@@ -67,6 +75,8 @@ DOC_EXIT_CODES = {
     "table-three-values": (["--table", "1,2,3"], 1),
     "table-empty": (["--table", "0,0,0,0"], 2),
     "table-no-antecedent": (["--table", "0,0,3,4"], 2),
+    "table-raven-underflows": (["--table", "1,2,3," + "9" * 300], 0),
+    "table-raven-overflows": (["--table", "1e-300,1,1,0"], 2),
     "usage-prior-not-a-number": (["--test", "0.5,0.5", "--prior-positive", "x"], 1),
     "usage-unknown-format": (["--table", "83,57,17,686", "--format", "xml"], 1),
     "usage-unknown-option": (["--table", "83,57,17,686", "--bogus", "1"], 1),
@@ -246,6 +256,32 @@ class TestMsieCommand:
         z = rec["outputs"]["z"]
         assert z["truth[e1]"] == 1.0 and z["truth[e0]"] == 1.0
         assert z["b_star"] == 0.0
+
+    def test_sampling_comes_from_the_channel(self, capsys, monkeypatch, tmp_path):
+        """P(E|h_j) is Bayes' rule on channel row j: the records are counted once."""
+        rng = random.Random(23)
+        path = tmp_path / "s.csv"
+        path.write_text("".join(f"{rng.choice('hgk')},e{rng.randrange(5)}\n" for _ in range(300)))
+        samples = _read_samples(str(path))
+        channel, prior = channel_from_samples(samples)
+        counted = {name: empirical_conditional(samples, {name}) for name in channel.hypotheses}
+
+        def refuse(*args):
+            raise AssertionError("msie --samples counted the records again")
+
+        monkeypatch.setattr(estimation, "empirical_conditional", refuse)
+        status, rec = run_json(capsys, "msie", "--samples", str(path))
+        assert status == 0
+        for j, name in enumerate(channel.hypotheses):
+            table = optimal_truth_function(channel, j).table
+            peak = Crisp(channel.alphabet, {channel.alphabet.labels[table.index(max(table))]})
+            by_channel = optimize_belief(peak, prior, bayes_invert(prior, channel.row(j)))
+            by_counting = optimize_belief(peak, prior, counted[name])
+            out = rec["outputs"][name]
+            for field in ("b_star", "b_prime_star", "information_bits"):
+                assert out[field] == getattr(by_channel, field)
+                assert out[field] == pytest.approx(getattr(by_counting, field),
+                                                   rel=1e-12, abs=1e-15)
 
     def test_gps_scenario(self, capsys, tmp_path):
         path = tmp_path / "gps.json"

@@ -27,6 +27,7 @@ from semcal import (
 )
 from semcal.errors import (
     DegenerateGeometry,
+    DegenerateInput,
     DegenerateRates,
     EmptyColumn,
     EmptyRow,
@@ -350,6 +351,27 @@ class TestRavenIncrements:
         fd00 = (b1(t.n11, t.n00 + h) - b1(t.n11, t.n00 - h)) / (2 * h)
         assert d11 == pytest.approx(fd11, abs=1e-6)
         assert d00 == pytest.approx(fd00, abs=1e-6)
+
+    def test_integer_tables_within_three_ulps_of_exact(self):
+        rng = random.Random(23)
+        for _ in range(2000):
+            n11, n10, n01, n00 = (rng.randint(1, 10**6) for _ in range(4))
+            exact = (Fraction(n10 * n01, (n00 + n10) * n11**2),
+                     Fraction(n10 * (n01 + n11), n11 * (n00 + n10) ** 2))
+            got = raven_increments(ContingencyTable(n11, n10, n01, n00))
+            for value, want in zip(got, exact):
+                assert abs(Fraction(value) - want) <= 3 * Fraction(math.ulp(float(want)))
+
+    def test_counts_whose_products_overflow(self):
+        # (n00 + n10)**2 overflows, yet d/dn11 = 6e-300 and d/dn00 = 8e-600 underflows to 0
+        assert raven_increments(ContingencyTable(1, 2, 3, 1e300)) == (6e-300, 0.0)
+
+    @pytest.mark.parametrize("counts", [(1e-300, 1, 1, 0), (1e308, 1e308, 1e308, 1e308)],
+                             ids=["d11-is-1e600", "sums-overflow"])
+    def test_derivative_beyond_float_range_is_degenerate(self, counts):
+        with pytest.raises(DegenerateInput) as info:
+            raven_increments(ContingencyTable(*counts))
+        assert info.value.exit_code == 2
 
     def test_doubling_claims(self):
         # n00 >> n10 and n11 = n01: doubling n00 halves b'; doubling n11 cuts 1/4

@@ -47,6 +47,7 @@ from semcal.errors import (
     NonFinite,
     NotNormalized,
     OutOfRange,
+    SemcalError,
     ValidationError,
     ZeroLogicalProbability,
     ZeroPrior,
@@ -556,6 +557,41 @@ class TestOptimizeBeliefProperties:
         r = optimize_belief(base, prior, sampling)
         assert (r.b_star, r.b_prime_star, r.information_bits) == (0.0, 1.0, 0.0)
         assert r.case is DocCase.PROPER_AFFIRMATION
+
+
+def outcome(measure, tf) -> str:
+    """The repr of ``measure(tf)``, or the name of the SemcalError it raised.
+
+    A float's repr names its bits exactly, -0.0 and -inf included.
+    """
+    try:
+        return repr(measure(tf))
+    except SemcalError as exc:
+        return type(exc).__name__
+
+
+class TestCrispIsItsTable:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 256), seed=st.integers(0, 2**32 - 1))
+    def test_crisp_and_its_table_give_the_same_bits(self, n, seed):
+        rng = random.Random(seed)
+        ab = Alphabet([f"x{i}" for i in range(n)])
+        members = set(rng.sample(ab.labels, rng.randint(0, n)))
+        crisp = Crisp(ab, members)
+        assert crisp.table == tuple(1.0 if label in members else 0.0 for label in ab.labels)
+        table = Tabular(ab, crisp.table)
+        assert crisp != table and table != crisp
+        prior = Distribution(ab, normalized([rng.uniform(0.01, 1.0) for _ in range(n)]))
+        masses = [rng.random() if rng.random() < 0.8 else 0.0 for _ in range(n)]
+        masses[rng.randrange(n)] = 1.0
+        sampling = Distribution(ab, normalized(masses))
+        for base in (crisp, negate(crisp)):
+            same = Tabular(ab, base.table)
+            assert base.values(ab) == same.values(ab)
+            for measure in (lambda tf: optimize_belief(tf, prior, sampling),
+                            lambda tf: average_semantic_info(tf, prior, sampling),
+                            lambda tf: semantic_bayes(prior, tf)):
+                assert outcome(measure, base) == outcome(measure, same)
 
 
 @st.composite

@@ -1,4 +1,4 @@
-"""Constructors reject NaN and infinite numbers before any range check.
+"""Constructors and evaluations reject NaN and infinite numbers before any range check.
 
 Every range guard is a comparison, and a comparison with NaN is false, so
 without this check a NaN would pass them all and surface as a NaN result.
@@ -33,6 +33,11 @@ CASES = {
     "gaussian-center-nan": lambda: Gaussian(center=NAN, stddev=1.0),
     "gaussian-stddev-nan": lambda: Gaussian(center=0.0, stddev=NAN),
     "gaussian-stddev-inf": lambda: Gaussian(center=0.0, stddev=INF),
+    "gaussian-evidence-nan": lambda: Gaussian(center=0.0, stddev=1.0).value(NAN),
+    "gaussian-evidence-inf": lambda: Gaussian(center=0.0, stddev=1.0).value(INF),
+    "gaussian-label-nan": lambda: Gaussian(center=0.0, stddev=1.0).value("nan"),
+    "gaussian-label-inf": lambda: Gaussian(center=0.0, stddev=1.0).value("-inf"),
+    "gaussian-label-overflows": lambda: Gaussian(center=0.0, stddev=1.0).value("1e400"),
     "tabular-nan": lambda: Tabular(AB, (NAN, 1.0)),
     "channel-nan": lambda: Channel(AB, ("h",), ((NAN, NAN),)),
     "gps-delta-nan": lambda: GpsModel(grid_size=50, delta_e=NAN, d=5.0, c=0.001),
