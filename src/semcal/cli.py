@@ -15,13 +15,12 @@ Only the modules ``doc`` needs (``confirmation``, ``distributions``,
 modules when they run: each process runs one command, and compiling and
 executing the modules it does not use (the belief searches, the position
 model, ``fractions``) would add about a fifth to the wall time of a
-``semcal doc`` process (64.0 against 52.8 ms, medians of 40 runs on a
-2-vCPU Intel Xeon VM).  The value classes are built on
+``semcal doc`` process.  The value classes are built on
 ``distributions.Frozen`` rather than the standard library's class
-generator, whose import (with ``inspect``) and per-class ``exec`` cost a
-``semcal doc`` process 15% (62.4 against 52.9 ms).  Calls into
-``estimation`` and ``reproduce`` go through the module attribute, so a
-wrapper set on that attribute (a timer, a call counter) sees them.
+generator, whose import (with ``inspect``) and per-class ``exec`` would
+cost a ``semcal doc`` process about 15%.  Calls into ``estimation`` and
+``reproduce`` go through the module attribute, so a wrapper set on that
+attribute (a timer, a call counter) sees them.
 """
 
 from __future__ import annotations

@@ -35,6 +35,7 @@ from .errors import (
     EmptyRow,
     IndexMismatch,
     NegativeMass,
+    OutOfRange,
     UnknownKind,
     ZeroDenominator,
     ZeroSensitivity,
@@ -106,10 +107,6 @@ class ContingencyTable(Frozen):
         object.__setattr__(self, "n01", n01)
         object.__setattr__(self, "n00", n00)
 
-    @property
-    def total(self) -> float:
-        return self.n11 + self.n10 + self.n01 + self.n00
-
 
 def doc_from_ratio(counter_rate, positive_rate) -> tuple[float, float, DocCase]:
     """(b*, b'*, case) from the hypothesis's two selection rates.
@@ -139,43 +136,54 @@ def doc_from_rates(spec: RateSpec, hypothesis: str = "affirmative") -> DocResult
     """
     if hypothesis not in ("affirmative", "denial"):
         raise UnknownKind(f"unknown hypothesis kind {hypothesis!r}")
-    p0, p1 = spec.prior
-    q0, q1 = spec.posterior
-
-    if p0 == 0.0 or p1 == 0.0:
-        raise DegenerateRates(f"prior masses {spec.prior} leave counterexamples or positive "
-                              "examples without mass, so the belief is undefined")
-
-    # Selection rates up to a common factor: Q0/P0 and Q1/P1, cross-multiplied
-    # so that Q0/Q1 <= P0/P1 is the proper branch (safe for zero masses).
-    b, b_prime, case = doc_from_ratio(q0 * p1, q1 * p0)
-
+    b, b_prime, case, bits = _doc_from_masses(spec.prior, spec.posterior)
     if hypothesis == "denial":
         b = -b
         case = (DocCase.EXCESSIVE_NEGATION if case is DocCase.PROPER_AFFIRMATION
                 else DocCase.PROPER_NEGATION)
-    return DocResult(b_star=b, b_prime_star=b_prime, case=case,
-                     information_bits=_kl_bits(spec.posterior, spec.prior))
+    return DocResult(b, b_prime, case, bits)
 
 
-def rates_for_h1(t: ContingencyTable) -> RateSpec:
-    """Prior/posterior mass pairs of the forward inference s1 -> s2."""
-    if t.n11 + t.n10 <= 0:
+def _doc_from_masses(prior, posterior) -> tuple:
+    """(b*, b'*, case, bits) of the affirmative hypothesis from checked mass pairs."""
+    p0, p1 = prior
+    q0, q1 = posterior
+    if p0 == 0.0 or p1 == 0.0:
+        raise DegenerateRates(f"prior masses {prior} leave counterexamples or positive "
+                              "examples without mass, so the belief is undefined")
+    # Selection rates up to a common factor: Q0/P0 and Q1/P1, cross-multiplied
+    # so that Q0/Q1 <= P0/P1 is the proper branch (safe for zero masses).
+    return (*doc_from_ratio(q0 * p1, q1 * p0), _kl_bits(posterior, prior))
+
+
+def _doc_from_counts(n11, n10, n01, n00) -> tuple:
+    """(b*, b'*, case, bits) of s1 -> s2 from 2x2 counts, summed in argument order.
+
+    Its contrapositive is this step on (n00, n10, n01, n11).  A float total
+    beyond float range raises DegenerateInput.
+    """
+    if n11 + n10 <= 0:
         raise EmptyRow("no evidence with the antecedent s1")
-    if t.n11 + t.n01 <= 0:
+    if n11 + n01 <= 0:
         raise EmptyColumn("no positive-example column mass")
-    if t.n00 + t.n10 <= 0:
+    if n00 + n10 <= 0:
         raise EmptyColumn("no counterexample column mass")
-    n = t.total
-    prior = ((t.n10 + t.n00) / n, (t.n11 + t.n01) / n)
-    row = t.n11 + t.n10
-    posterior = (t.n10 / row, t.n11 / row)
-    return RateSpec(prior=prior, posterior=posterior)
+    n = n11 + n10 + n01 + n00
+    if n == math.inf:
+        raise DegenerateInput(f"counts {(n11, n10, n01, n00)} sum beyond float range")
+    row = n11 + n10
+    return _doc_from_masses(((n10 + n00) / n, (n11 + n01) / n), (n10 / row, n11 / row))
+
+
+def _require_table(t) -> None:
+    if not isinstance(t, ContingencyTable):
+        raise OutOfRange(f"expected a ContingencyTable, got {t!r}")
 
 
 def doc_h1_from_table(t: ContingencyTable) -> DocResult:
     """Degree of confirmation of s1 -> s2 from 2x2 counts."""
-    return doc_from_rates(rates_for_h1(t))
+    _require_table(t)
+    return DocResult(*_doc_from_counts(t.n11, t.n10, t.n01, t.n00))
 
 
 def doc_h2_from_table(t: ContingencyTable) -> DocResult:
@@ -185,8 +193,8 @@ def doc_h2_from_table(t: ContingencyTable) -> DocResult:
     the equivalence condition because the two inferences trade the same
     counterexamples against different positive examples.
     """
-    swapped = ContingencyTable(n11=t.n00, n10=t.n10, n01=t.n01, n00=t.n11)
-    return doc_h1_from_table(swapped)
+    _require_table(t)
+    return DocResult(*_doc_from_counts(t.n00, t.n10, t.n01, t.n11))
 
 
 def doc_from_test(sensitivity: float, specificity: float,
@@ -258,6 +266,7 @@ def raven_increments(t: ContingencyTable) -> tuple[float, float]:
     each from the share n10/(n00 + n10) <= 1 so that no product of counts
     overflows; one beyond float range raises DegenerateInput.
     """
+    _require_table(t)
     if t.n11 <= 0:
         raise EmptyRow("derivatives need n11 > 0")
     if t.n00 + t.n10 <= 0:

@@ -214,16 +214,10 @@ def kl_divergence(q: Distribution, p: Distribution) -> float:
 
     Requires p to dominate q; terms with q_i = 0 contribute nothing.
     """
+    if not (isinstance(q, Distribution) and isinstance(p, Distribution)):
+        raise OutOfRange(f"KL divergence needs two Distributions, got {q!r} and {p!r}")
     _require_same_alphabet(q, p)
     return _kl_bits(q.probs, p.probs)
-
-
-def _kl_or_inf(q: Distribution, p: Distribution) -> float:
-    """KL(q || p), returning +inf instead of raising on a dominance failure."""
-    try:
-        return kl_divergence(q, p)
-    except AbsoluteContinuityViolated:
-        return float("inf")
 
 
 def bayes_invert(prior: Distribution, channel_row: Sequence[float]) -> Distribution:

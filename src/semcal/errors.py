@@ -66,7 +66,11 @@ class NonFinite(ValidationError):
 
 
 class OutOfRange(ValidationError):
-    """A value lies outside its domain, or is not a real number (or an integer) at all."""
+    """A value lies outside its domain, or is not a real number (or an integer) at all.
+
+    Also an object of the wrong type where a contingency table, truth
+    function or distribution belongs.
+    """
 
 
 class UnknownKind(ValidationError):

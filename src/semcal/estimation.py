@@ -60,8 +60,7 @@ from .errors import (
     ZeroPrior,
     ZeroRow,
 )
-from .estimation_types import (Channel, SampleSet, _real, gaussian_profile,
-                               require_gaussian_spread, toroidal_offset)
+from .estimation_types import Channel, SampleSet, _real, gaussian_profile, toroidal_offset
 from .semantic_info import average_semantic_info
 from .truth_functions import Tabular, TruthFunction, belief_adjust
 
@@ -285,8 +284,10 @@ def optimize_belief(base_tf: TruthFunction, prior: Distribution,
     """
     if isinstance(base_tf, Tabular) and base_tf.alphabet.labels == prior.alphabet.labels:
         base = base_tf
-    else:
+    elif isinstance(base_tf, TruthFunction):
         base = Tabular(prior.alphabet, base_tf.values(prior.alphabet))
+    else:
+        raise OutOfRange(f"base must be a TruthFunction, got {base_tf!r}")
     table = base.values(prior.alphabet)
     if max(table) <= 0:
         raise DegenerateInput("base truth function is identically zero")
@@ -439,7 +440,8 @@ def gps_objective(observed: np.ndarray, delta: float, d: float, b: float) -> flo
     require_finite("shift and spread", (delta, d))
     if not d > 0:
         raise OutOfRange(f"spread must be positive, got d={d}")
-    require_gaussian_spread("spread", d)
+    if not math.isfinite(2.0 * d * d):    # the Gaussian's denominator
+        raise OutOfRange(f"spread {d} is too large: 2*d**2 is not finite")
     if not 0.0 <= b <= 1.0:
         raise BeliefOutOfRange(f"belief must lie in [0, 1], got b={b}")
     lags = _float_array(observed, "observed channel or lag distribution")

@@ -110,21 +110,6 @@ def _real(name: str, value) -> float:
     raise OutOfRange(f"{name} must be a number, got {value!r}")
 
 
-def require_gaussian_spread(what: str, d: float) -> None:
-    """Raise OutOfRange unless 2*d**2, the denominator of the Gaussian, is finite.
-
-    Past about 1.3e154, d**2 raises OverflowError on a Python float; on a
-    numpy one it is inf with an overflow warning, and so is 2*d**2 from
-    about 9.5e153.
-    """
-    try:
-        finite = math.isfinite(2.0 * float(d) ** 2)
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise OutOfRange(f"{what} {d} is too large: 2*d**2 is not finite")
-
-
 def toroidal_offset(raw, size: int):
     """Wrap signed offsets on a ring of ``size`` cells into [-size/2, size/2)."""
     return (raw + size / 2) % size - size / 2
@@ -161,7 +146,8 @@ class GpsModel(Frozen):
             raise OutOfRange(f"standard deviation must be positive, got {d}")
         if d < 2.0:
             raise GridTooCoarse(f"standard deviation {d} is below 2 grid steps")
-        require_gaussian_spread("standard deviation", d)
+        if not math.isfinite(2.0 * d * d):    # the Gaussian's denominator
+            raise OutOfRange(f"standard deviation {d} is too large: 2*d**2 is not finite")
         if c < 0:
             raise NegativeMass(f"long-tail floor must be >= 0, got {c}")
         floor_mass = _real("grid_size", grid_size) * c

@@ -16,14 +16,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .distributions import (
-    Distribution,
-    _kl_or_inf,
-    _require_same_alphabet,
-    bayes_invert,
-    kl_divergence,
-)
-from .errors import IndexMismatch
+from .distributions import Distribution, _require_same_alphabet, bayes_invert, kl_divergence
+from .errors import AbsoluteContinuityViolated, IndexMismatch
 from .truth_functions import TruthFunction, semantic_bayes, truth_and_logical_probability
 
 if TYPE_CHECKING:
@@ -74,7 +68,10 @@ def gkl_decomposition(tf: TruthFunction, prior: Distribution,
     _require_same_alphabet(prior, sampling)
     kl_info = kl_divergence(sampling, prior)
     likelihood = semantic_bayes(prior, tf)
-    penalty = _kl_or_inf(sampling, likelihood)
+    try:
+        penalty = kl_divergence(sampling, likelihood)
+    except AbsoluteContinuityViolated:
+        penalty = float("inf")
     return kl_info, penalty
 
 

@@ -68,6 +68,8 @@ class Gaussian(TruthFunction, Frozen):
             x = float((self.positions or {}).get(e, e))
         except (TypeError, ValueError):
             raise UnknownLabel(f"no numeric position for label {e!r}") from None
+        except OverflowError:    # an int beyond float range
+            raise OutOfRange(f"evidence position {e!r} is beyond float range") from None
         require_finite("evidence position", (x,))
         return x
 
@@ -200,6 +202,8 @@ def truth_and_logical_probability(tf: TruthFunction, prior: Distribution
     ZeroLogicalProbability: alongside positive truth values it marks a
     degenerate prior, not a contradiction.
     """
+    if not isinstance(tf, TruthFunction):
+        raise OutOfRange(f"expected a TruthFunction, got {tf!r}")
     truth = tf.values(prior.alphabet)
     if max(truth) == 0.0:
         return truth, None

@@ -4,8 +4,12 @@ import random
 import pytest
 
 from semcal import (
+    Alphabet,
     ContingencyTable,
     Crisp,
+    Distribution,
+    Gaussian,
+    average_semantic_info,
     bayes_invert,
     channel_from_samples,
     doc_h1_from_table,
@@ -77,6 +81,7 @@ DOC_EXIT_CODES = {
     "table-no-antecedent": (["--table", "0,0,3,4"], 2),
     "table-raven-underflows": (["--table", "1,2,3," + "9" * 300], 0),
     "table-raven-overflows": (["--table", "1e-300,1,1,0"], 2),
+    "table-total-overflows": (["--table", "1e308,1e308,1,1"], 2),
     "usage-prior-not-a-number": (["--test", "0.5,0.5", "--prior-positive", "x"], 1),
     "usage-unknown-format": (["--table", "83,57,17,686", "--format", "xml"], 1),
     "usage-unknown-option": (["--table", "83,57,17,686", "--bogus", "1"], 1),
@@ -89,6 +94,49 @@ USAGE_EXIT_CODES = {
     "unknown-subcommand": (["bogus"], 1),
     "missing-subcommand": ([], 1),
 }
+
+
+# parse errors of each subcommand: argv with {name} for a file of ``cli_files``; each exits 1
+PARSE_ERRORS = {
+    "table-bad-number": ["doc", "--table", "1,x,3,4"],
+    "csv-probability-not-a-number": ["info", "--prior", "{bad_probability}",
+                                     "--sampling", "{prior}", "--tf", "crisp:e1"],
+    "samples-without-records": ["msie", "--samples", "{no_records}"],
+    "belief-without-inner-spec": ["info", "--prior", "{prior}", "--sampling", "{prior}",
+                                  "--tf", "belief:0.5"],
+    "belief-bad-value": ["info", "--prior", "{prior}", "--sampling", "{prior}",
+                         "--tf", "belief:x:crisp:e1"],
+    "unknown-spec-kind": ["info", "--prior", "{prior}", "--sampling", "{prior}",
+                          "--tf", "fuzzy:e1"],
+    "msie-neither-source": ["msie"],
+    "msie-both-sources": ["msie", "--samples", "{samples}", "--gps", "{scenario}"],
+    "gps-scenario-missing-key": ["msie", "--gps", "{scenario_without_c}"],
+}
+
+
+@pytest.fixture
+def cli_files(tmp_path):
+    contents = {
+        "prior": "e1,0.8\ne0,0.2\n",
+        "bad_probability": "e1,x\ne0,0.2\n",
+        "no_records": "# condition,label\n\n",
+        "samples": "h1,e1\nh0,e0\n",
+        "scenario": json.dumps({"grid_size": 64, "delta_e": 3, "d": 5, "c": 0.001}),
+        "scenario_without_c": json.dumps({"grid_size": 64, "delta_e": 3, "d": 5}),
+    }
+    paths = {}
+    for name, text in contents.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("argv", PARSE_ERRORS.values(), ids=PARSE_ERRORS.keys())
+def test_parse_error_prints_one_error_line(capsys, cli_files, argv):
+    assert main([arg.format(**cli_files) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, code", DOC_EXIT_CODES.values(), ids=DOC_EXIT_CODES.keys())
@@ -230,6 +278,20 @@ class TestInfoCommand:
         assert main(["info", "--prior", str(prior), "--sampling", sampling,
                      "--tf", "crisp:e1"]) == 1
         assert "sum to 5" in capsys.readouterr().err
+
+    def test_gaussian_spec_matches_the_library(self, capsys, tmp_path):
+        # labels that parse as numbers are their own positions
+        prior, sampling = tmp_path / "prior.csv", tmp_path / "sampling.csv"
+        prior.write_text("0,0.25\n1,0.25\n2.5,0.5\n")
+        sampling.write_text("0,0.125\n1,0.625\n2.5,0.25\n")
+        status, rec = run_json(capsys, "info", "--prior", str(prior),
+                               "--sampling", str(sampling), "--tf", "gauss:1,0.8")
+        assert status == 0
+        ab = Alphabet(("0", "1", "2.5"))
+        expected = average_semantic_info(Gaussian(1.0, 0.8), Distribution(ab, (0.25, 0.25, 0.5)),
+                                         Distribution(ab, (0.125, 0.625, 0.25)))
+        assert rec["outputs"]["average_bits"] == expected
+        assert expected > 0.0
 
     def test_text_format_minus_inf_token(self, capsys, swans_files):
         prior, sampling = swans_files

@@ -33,6 +33,7 @@ from semcal.errors import (
     EmptyRow,
     NonFinite,
     OutOfRange,
+    SemcalError,
     UnknownKind,
     ValidationError,
     ZeroDenominator,
@@ -150,6 +151,32 @@ class TestDocFromTable:
     def test_contrapositive_no_counterexamples(self):
         r = doc_h2_from_table(ContingencyTable(12, 0, 5, 300))
         assert r.b_star == 1.0
+
+    @pytest.mark.parametrize("counts", [(1e308, 1e308, 1, 1), (1e308,) * 4],
+                             ids=["two-counts", "four-counts"])
+    @pytest.mark.parametrize("doc", [doc_h1_from_table, doc_h2_from_table])
+    def test_total_beyond_float_range_is_degenerate(self, doc, counts):
+        with pytest.raises(DegenerateInput) as info:
+            doc(ContingencyTable(*counts))
+        assert info.value.exit_code == 2
+
+    def test_integer_total_beyond_float_range_is_exact(self):
+        # ints sum exactly, and their quotients round once: the masses are (1/2, 1/2)
+        t = ContingencyTable(10**308, 10**308, 1, 1)
+        assert doc_h1_from_table(t) == doc_h1_from_table(ContingencyTable(1, 1, 1, 1))
+
+    def test_contrapositive_is_the_swapped_table(self):
+        rng = random.Random(24)
+        for _ in range(500):
+            n11, n10, n01, n00 = (rng.choice((0, rng.randint(1, 10**6), rng.uniform(0, 1e3)))
+                                  for _ in range(4))
+            try:
+                swapped = doc_h1_from_table(ContingencyTable(n00, n10, n01, n11))
+            except SemcalError as exc:
+                with pytest.raises(type(exc)):
+                    doc_h2_from_table(ContingencyTable(n11, n10, n01, n00))
+                continue
+            assert doc_h2_from_table(ContingencyTable(n11, n10, n01, n00)) == swapped
 
     def test_equivalence_condition_fails_generically(self):
         rng = random.Random(17)

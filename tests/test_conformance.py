@@ -9,8 +9,10 @@ TypeError, ValueError or OverflowError, never a NaN result, and never a
 silent conversion of text or truncation of a float.  An entry of an array
 argument (the position-model channel and lag vector) counts as an argument.
 
-Wrong-type objects, such as text where a contingency table belongs, are not
-numbers and are not covered here.
+A wrong-type object, such as text where a contingency table, a truth
+function or a distribution belongs, raises OutOfRange where it enters
+(``WRONG_TYPES``).  ``ERROR_PATHS`` gives each remaining raise of the
+library a call that reaches it, with its class and exit code.
 """
 
 import math
@@ -25,23 +27,45 @@ from semcal import (
     BeliefAdjusted,
     Channel,
     ContingencyTable,
+    Crisp,
     Distribution,
     Gaussian,
     GpsModel,
     RateSpec,
+    SampleSet,
     Tabular,
+    average_semantic_info,
     bayes_invert,
     belief_adjust,
     doc_from_test,
+    doc_h1_from_table,
+    doc_h2_from_table,
+    gkl_decomposition,
     gps_cep_doc,
     gps_fit,
     gps_objective,
+    kl_divergence,
     lag_distribution,
+    logical_probability,
     optimal_truth_function,
+    optimize_belief,
     pointwise_info,
+    pointwise_semantic_info,
     predicted_probability,
+    raven_increments,
+    semantic_bayes,
 )
-from semcal.errors import SemcalError
+from semcal.errors import (
+    AlphabetMismatch,
+    DegenerateGeometry,
+    EmptyColumn,
+    EmptyRow,
+    NegativeMass,
+    NotNormalized,
+    OutOfRange,
+    SemcalError,
+    UnknownLabel,
+)
 
 AB = Alphabet(("a", "b"))
 TAB = Tabular(AB, (0.25, 1.0))
@@ -156,3 +180,61 @@ def test_numpy_and_fraction_scalars_are_numbers():
     assert gps_cep_doc(np.float32(0.5), np.int64(1), 10).b_star == gps_cep_doc(0.5, 1, 10).b_star
     assert Distribution(AB, (np.float32(0.25), Fraction(3, 4))).probs == (0.25, 0.75)
     assert Tabular(AB, (np.float64(0.25), 1)).table == (0.25, 1.0)
+
+
+#: name: a call that passes a wrong-type object where a table, truth function
+#: or distribution belongs
+WRONG_TYPES = {
+    "raven_increments-text": lambda: raven_increments("x"),
+    "doc_h1_from_table-tuple": lambda: doc_h1_from_table((1, 2, 3, 4)),
+    "doc_h2_from_table-tuple": lambda: doc_h2_from_table((1, 2, 3, 4)),
+    "semantic_bayes-text-tf": lambda: semantic_bayes(PRIOR, "x"),
+    "logical_probability-text-tf": lambda: logical_probability("x", PRIOR),
+    "average_semantic_info-text-tf": lambda: average_semantic_info("x", PRIOR, PRIOR),
+    "pointwise_semantic_info-text-tf": lambda: pointwise_semantic_info("x", PRIOR, "a"),
+    "gkl_decomposition-text-tf": lambda: gkl_decomposition("x", PRIOR, PRIOR),
+    "kl_divergence-text-prior": lambda: kl_divergence(PRIOR, "x"),
+    "kl_divergence-text-sampling": lambda: kl_divergence("x", PRIOR),
+    "optimize_belief-text-base": lambda: optimize_belief("x", PRIOR, PRIOR),
+    "optimize_belief-none-base": lambda: optimize_belief(None, PRIOR, PRIOR),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
+def test_wrong_type_object_is_out_of_range(call):
+    with pytest.raises(OutOfRange) as info:
+        call()
+    assert info.value.exit_code == 1
+
+
+#: name: (call, error class, exit code): a raise that no other test reaches
+ERROR_PATHS = {
+    "table-no-counterexample-column": (
+        lambda: doc_h1_from_table(ContingencyTable(5, 0, 5, 0)), EmptyColumn, 2),
+    "cep-fraction-zero": (lambda: gps_cep_doc(0, 1, 10), DegenerateGeometry, 2),
+    "cep-fraction-one": (lambda: gps_cep_doc(1.0, 1, 10), DegenerateGeometry, 2),
+    "raven-no-positive-examples": (
+        lambda: raven_increments(ContingencyTable(0, 1, 1, 1)), EmptyRow, 2),
+    "raven-no-counterexample-column": (
+        lambda: raven_increments(ContingencyTable(1, 0, 1, 0)), EmptyRow, 2),
+    "alphabet-empty": (lambda: Alphabet(()), NotNormalized, 1),
+    "distribution-wrong-length": (lambda: Distribution(AB, (1.0,)), AlphabetMismatch, 1),
+    "bayes-row-wrong-length": (lambda: bayes_invert(PRIOR, (1.0, 0.5, 0.5)), AlphabetMismatch, 1),
+    "pointwise-negative-posterior": (lambda: pointwise_info(-0.25, 0.5), NegativeMass, 1),
+    "truth-index-past-last": (lambda: optimal_truth_function(CHANNEL, 2), OutOfRange, 1),
+    "channel-column-not-normalized": (lambda: Channel(AB, ("h",), ((0.5, 1.0),)),
+                                      NotNormalized, 1),
+    "channel-unknown-hypothesis": (lambda: CHANNEL.hypothesis_index("h9"), UnknownLabel, 1),
+    "samples-label-outside-alphabet": (lambda: SampleSet(AB, [("h", "z")]), UnknownLabel, 1),
+    "gps-grid-below-2": (lambda: GpsModel(1, 0, 2.0, 0.0), DegenerateGeometry, 2),
+    "gps-negative-floor": (lambda: GpsModel(16, 0, 2.0, -0.001), NegativeMass, 1),
+    "tabular-wrong-length": (lambda: Tabular(AB, (1.0,)), AlphabetMismatch, 1),
+    "crisp-label-outside-alphabet": (lambda: Crisp(AB, {"z"}), UnknownLabel, 1),
+}
+
+
+@pytest.mark.parametrize("call, error, code", ERROR_PATHS.values(), ids=ERROR_PATHS.keys())
+def test_error_path_class_and_exit_code(call, error, code):
+    with pytest.raises(error) as info:
+        call()
+    assert info.value.exit_code == code

@@ -11,6 +11,7 @@ from semcal import (
     Crisp,
     Distribution,
     DocCase,
+    Gaussian,
     GpsModel,
     RateSpec,
     SampleSet,
@@ -170,6 +171,35 @@ class TestOptimizeBelief:
             sampling = Distribution(AB, (q, 1 - q))
             base = Tabular(AB, (rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)))
             assert optimize_belief(base, prior, sampling).information_bits >= 0.0
+
+    @pytest.mark.parametrize("kind", ["gaussian", "belief-adjusted", "permuted-tabular"])
+    def test_base_off_the_prior_alphabet_matches_a_scan(self, kind):
+        # such a base is evaluated into a Tabular first; the reference scans
+        # the information of the base itself, on each branch, by golden section
+        rng = random.Random(24)
+        for _ in range(20):
+            n = rng.randint(3, 6)
+            ab = Alphabet([f"x{i}" for i in range(n)])
+            prior = Distribution(ab, normalized([rng.uniform(0.05, 1.0) for _ in range(n)]))
+            sampling = Distribution(ab, normalized([rng.uniform(0.05, 1.0) for _ in range(n)]))
+            table = [rng.uniform(0.05, 0.95) for _ in range(n)]
+            if kind == "gaussian":
+                base = Gaussian(0.0, 1.0, positions={label: rng.uniform(-2.0, 2.0)
+                                                     for label in ab})
+            elif kind == "belief-adjusted":
+                base = belief_adjust(Tabular(ab, table), rng.uniform(-0.9, 0.9))
+            else:
+                order = rng.sample(range(n), n)
+                base = Tabular(Alphabet([ab.labels[i] for i in order]), [table[i] for i in order])
+
+            def f(b):
+                return average_semantic_info(belief_adjust(base, b), prior, sampling)
+
+            b_scan, bits_scan = max(golden_max(f, 0.0, 1.0), golden_max(f, -1.0, 0.0),
+                                    key=lambda point: point[1])
+            r = optimize_belief(base, prior, sampling)
+            assert r.b_star == pytest.approx(b_scan, abs=1e-3)
+            assert r.information_bits == pytest.approx(bits_scan, abs=1e-6)
 
     def test_degenerate_base(self):
         prior = Distribution(AB, (0.5, 0.5))
@@ -1091,6 +1121,59 @@ class TestGpsFit:
         assert len(calls) <= most_calls
         brent, _ = golden_max(lambda x: gps_objective(lags, delta, d, x), 0.0, 1.0 - 1e-9)
         assert b == pytest.approx(brent, abs=1e-6)
+
+    @staticmethod
+    def sampled_channel():
+        observed = GpsModel(grid_size=200, delta_e=3, d=6.0, c=0.001).channel_matrix()
+        counts = np.random.default_rng(7).multinomial(20000, observed)
+        return counts / counts.sum(axis=1, keepdims=True)
+
+    def test_overshooting_steps_are_halved(self, monkeypatch):
+        # a Hessian shrunk a hundredfold makes every Newton step a hundred
+        # times too long: the fit must halve until the objective does not fall
+        observed = self.sampled_channel()
+        lags = lag_distribution(observed)
+        newton_terms, objective = estimation._gps_newton_terms, estimation.gps_objective
+        events = []
+
+        def long_steps(lags, total, *point):
+            events.append(("step from", objective(lags, *point)))
+            grad, hess = newton_terms(lags, total, *point)
+            return grad, [[h / 100.0 for h in row] for row in hess]
+
+        def recorded(lags, *point):
+            value = objective(lags, *point)
+            events.append(("trial", value))
+            return value
+
+        monkeypatch.setattr(estimation, "_gps_newton_terms", long_steps)
+        monkeypatch.setattr(estimation, "gps_objective", recorded)
+        result = gps_fit(observed)
+        accepted = [value for kind, value in events if kind == "step from"]
+        assert len(accepted) > 1 and accepted == sorted(accepted)
+        assert objective(lags, *result) >= accepted[-1]
+        current, halvings = None, 0
+        for kind, value in events:
+            if kind == "step from":
+                current = value
+            elif current is not None and value < current:
+                halvings += 1
+        assert halvings > 0
+
+    def test_fit_stops_after_fit_steps(self, monkeypatch):
+        observed = self.sampled_channel()
+        lags = lag_distribution(observed)
+        steps = count_calls(monkeypatch, "_gps_newton_terms")
+        gps_fit(observed)
+        assert len(steps) > 1
+        steps.clear()
+        trials = count_calls(monkeypatch, "gps_objective")
+        monkeypatch.setattr(estimation, "FIT_STEPS", 1)
+        result = gps_fit(observed)
+        assert len(steps) == 1
+        start = trials[0][1:]
+        assert result != start and result == trials[-1][1:]
+        assert gps_objective(lags, *result) > gps_objective(lags, *start)
 
     @settings(max_examples=100, deadline=None)
     @given(problem=gps_points())

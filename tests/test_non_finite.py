@@ -47,6 +47,19 @@ CASES = {
 }
 
 
+#: A number that no float can hold is not NaN or infinite: OutOfRange.
+BEYOND_FLOAT_CASES = {
+    "gaussian-evidence-int-overflows": lambda: Gaussian(center=0.0, stddev=1.0).value(10**400),
+}
+
+
+@pytest.mark.parametrize("build", BEYOND_FLOAT_CASES.values(), ids=BEYOND_FLOAT_CASES.keys())
+def test_number_beyond_float_range_is_out_of_range(build):
+    with pytest.raises(OutOfRange) as info:
+        build()
+    assert info.value.exit_code == 1
+
+
 @pytest.mark.parametrize("build", CASES.values(), ids=CASES.keys())
 def test_non_finite_input_is_rejected(build):
     with pytest.raises(NonFinite) as info:

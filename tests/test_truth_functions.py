@@ -185,6 +185,17 @@ class TestNegate:
         tf = Tabular(ab, values)
         assert negate(negate(tf)).values(ab) == pytest.approx(tf.values(ab), abs=1e-15)
 
+    @given(st.floats(-5.0, 5.0), st.floats(0.1, 3.0),
+           st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8, unique=True))
+    def test_gaussian_complement_is_exact(self, center, stddev, points):
+        # a non-tabular truth function is complemented as the belief -1 in it
+        g = Gaussian(center, stddev)
+        ab = Alphabet([repr(x) for x in points])
+        complement = negate(g)
+        assert complement.values(ab) == tuple(1.0 - t for t in g.values(ab))
+        assert [complement.value(x) for x in points] == [1.0 - g.value(x) for x in points]
+        assert negate(complement) is g
+
 
 class TestBeliefAdjust:
     def test_full_belief_is_identity(self):
