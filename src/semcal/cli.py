@@ -192,12 +192,11 @@ def _doc_fields(result: DocResult) -> dict:
 # Each fills the record that ``main`` built and returns the exit status.
 
 def cmd_doc(args, record: dict) -> int:
-    supplied = [name for name in ("table", "rates", "test") if getattr(args, name)]
-    if len(supplied) != 1:
-        raise ParseError("exactly one of --table, --rates, --test is required")
+    if args.prior_positive is not None and args.test is None:
+        raise ParseError("--prior-positive applies only to --test")
     inputs, outputs = record["inputs"], record["outputs"]
 
-    if args.table:
+    if args.table is not None:
         counts = _parse_floats(args.table, 4, "--table")
         table = ContingencyTable(*counts)
         inputs["table"] = dict(zip(("n11", "n10", "n01", "n00"), counts))
@@ -205,7 +204,7 @@ def cmd_doc(args, record: dict) -> int:
         outputs["h2"] = _doc_fields(doc_h2_from_table(table))
         d11, d00 = raven_increments(table)
         outputs["raven_increments"] = {"db_star_dn11": d11, "db_star_dn00": d00}
-    elif args.rates:
+    elif args.rates is not None:
         p0, p1, q0, q1 = _parse_floats(args.rates, 4, "--rates")
         inputs["rates"] = {"P0": p0, "P1": p1, "Q0": q0, "Q1": q1}
         outputs["h1"] = _doc_fields(doc_from_rates(RateSpec(prior=(p0, p1), posterior=(q0, q1))))
@@ -241,11 +240,9 @@ def cmd_msie(args, record: dict) -> int:
     from .estimation_types import GpsModel
     from .truth_functions import Crisp
 
-    if bool(args.samples) == bool(args.gps):
-        raise ParseError("exactly one of --samples, --gps is required")
     inputs, outputs = record["inputs"], record["outputs"]
 
-    if args.gps:
+    if args.gps is not None:
         try:
             with open(args.gps) as fh:
                 scenario = json.load(fh)
@@ -308,11 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write the report to this path")
 
     p_doc = sub.add_parser("doc", help="degree of confirmation")
-    p_doc.add_argument("--table", help="n11,n10,n01,n00 contingency counts")
-    p_doc.add_argument("--rates", help="P0,P1,Q0,Q1 prior/posterior masses")
-    p_doc.add_argument("--test", help="sensitivity,specificity")
+    source = p_doc.add_mutually_exclusive_group(required=True)
+    source.add_argument("--table", help="n11,n10,n01,n00 contingency counts")
+    source.add_argument("--rates", help="P0,P1,Q0,Q1 prior/posterior masses")
+    source.add_argument("--test", help="sensitivity,specificity")
     p_doc.add_argument("--prior-positive", type=float, default=None,
-                       help="base rate for the information of a test reading")
+                       help="base rate for the information of a test reading (--test only)")
     add_common(p_doc)
 
     p_info = sub.add_parser("info", help="semantic information of a truth function")
@@ -323,8 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_info)
 
     p_msie = sub.add_parser("msie", help="estimate truth functions from samples")
-    p_msie.add_argument("--samples", help="condition,label CSV")
-    p_msie.add_argument("--gps", help="JSON scenario: grid_size, delta_e, d, c")
+    source = p_msie.add_mutually_exclusive_group(required=True)
+    source.add_argument("--samples", help="condition,label CSV")
+    source.add_argument("--gps", help="JSON scenario: grid_size, delta_e, d, c")
     add_common(p_msie)
 
     p_rep = sub.add_parser("reproduce", help="regenerate the built-in worked examples")

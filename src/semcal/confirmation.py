@@ -134,6 +134,8 @@ def doc_from_rates(spec: RateSpec, hypothesis: str = "affirmative") -> DocResult
     whose belief is the sign-flipped one (excessive negation mirrors proper
     affirmation and vice versa).
     """
+    if not isinstance(spec, RateSpec):
+        raise OutOfRange(f"expected a RateSpec, got {spec!r}")
     if hypothesis not in ("affirmative", "denial"):
         raise UnknownKind(f"unknown hypothesis kind {hypothesis!r}")
     b, b_prime, case, bits = _doc_from_masses(spec.prior, spec.posterior)

@@ -187,7 +187,12 @@ def pointwise_info(posterior_prob: float, prior_prob: float) -> float:
 
 
 def _require_same_alphabet(a, b) -> None:
-    if a.alphabet.labels != b.alphabet.labels:
+    """AlphabetMismatch unless a and b share an alphabet; OutOfRange if one has none."""
+    try:
+        same = a.alphabet.labels == b.alphabet.labels
+    except AttributeError:
+        raise OutOfRange(f"expected a Distribution or Channel, got {a!r} and {b!r}") from None
+    if not same:
         raise AlphabetMismatch(
             f"alphabets differ: {a.alphabet.labels} vs {b.alphabet.labels}")
 
@@ -222,6 +227,8 @@ def kl_divergence(q: Distribution, p: Distribution) -> float:
 
 def bayes_invert(prior: Distribution, channel_row: Sequence[float]) -> Distribution:
     """Posterior P(E|h) from prior P(E) and a selecting-rule row P(h|E)."""
+    if not isinstance(prior, Distribution):
+        raise OutOfRange(f"prior must be a Distribution, got {prior!r}")
     row = tuple(channel_row)
     if len(row) != len(prior.alphabet):
         raise AlphabetMismatch(

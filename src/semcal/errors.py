@@ -68,8 +68,8 @@ class NonFinite(ValidationError):
 class OutOfRange(ValidationError):
     """A value lies outside its domain, or is not a real number (or an integer) at all.
 
-    Also an object of the wrong type where a contingency table, truth
-    function or distribution belongs.
+    Also an object of the wrong type where a contingency table, rate spec,
+    truth function, distribution, channel or sample set belongs.
     """
 
 

@@ -85,13 +85,11 @@ TIE_BITS = 1e-12
 
 def empirical_conditional(samples: SampleSet, condition_subset) -> Distribution:
     """Relative evidence frequencies among records whose tag is in the subset."""
+    if not isinstance(samples, SampleSet):
+        raise OutOfRange(f"expected a SampleSet, got {samples!r}")
     subset = {str(c) for c in condition_subset}
-    counts = dict.fromkeys(samples.alphabet.labels, 0)
-    matched = 0
-    for condition, label in samples.records:
-        if condition in subset:
-            counts[label] += 1
-            matched += 1
+    counts = Counter(label for condition, label in samples.records if condition in subset)
+    matched = sum(counts.values())
     if matched == 0:
         raise EmptyConditionSubset(f"no records match conditions {sorted(subset)}")
     return Distribution(samples.alphabet,
@@ -282,6 +280,7 @@ def optimize_belief(base_tf: TruthFunction, prior: Distribution,
     evidence that carries no information (sampling equal to the prior)
     gives b* = 0.0 exactly, and no result has negative bits.
     """
+    _require_same_alphabet(prior, sampling)
     if isinstance(base_tf, Tabular) and base_tf.alphabet.labels == prior.alphabet.labels:
         base = base_tf
     elif isinstance(base_tf, TruthFunction):
@@ -291,7 +290,6 @@ def optimize_belief(base_tf: TruthFunction, prior: Distribution,
     table = base.values(prior.alphabet)
     if max(table) <= 0:
         raise DegenerateInput("base truth function is identically zero")
-    _require_same_alphabet(prior, sampling)
 
     slope = math.fsum((q - p) * t for q, p, t in zip(sampling.probs, prior.probs, table))
     if slope != 0.0:
@@ -327,6 +325,8 @@ def channel_from_samples(samples: SampleSet) -> tuple[Channel, Distribution]:
     A label of the alphabet with no record leaves P(h|e) = 0/0 undefined
     and raises ZeroPrior.
     """
+    if not isinstance(samples, SampleSet):
+        raise OutOfRange(f"expected a SampleSet, got {samples!r}")
     pairs = Counter(samples.records)
     if not pairs:
         raise EmptyConditionSubset("sample set has no records")
@@ -398,25 +398,24 @@ def lag_distribution(observed: np.ndarray) -> np.ndarray:
     ``observed`` is the row-normalized channel P(reported | true) on a grid
     of m cells; entry k of the result is (1/m) * sum_t observed[t, (t+k) mod m],
     the joint probability that the reported cell lies k steps past the true
-    one; the entries total 1.  Each row passes ``_check_mass``.  The gather
-    is a strided view of the channel placed beside itself: row k of the view
-    walks the diagonal t -> t + k.  The view is copied to a contiguous m x m
-    array so that each row sums in the same order as before.
+    one; the entries total 1.  Anything but a non-empty square matrix raises
+    DegenerateGeometry, and each row passes ``_check_mass``.  The gather is
+    a strided view of the channel placed beside itself: row k of the view
+    walks the diagonal t -> t + k, with strides read from the doubled
+    array, so a channel in any memory layout gathers the same cells.
     """
     import numpy as np
 
     observed = _float_array(observed, "observed channel")
     if observed.ndim != 2 or observed.shape[0] != observed.shape[1] or observed.size == 0:
-        raise DegenerateInput(f"observed channel must be square and non-empty, "
-                              f"got {observed.shape}")
-    m = observed.shape[0]
+        raise DegenerateGeometry(f"need a non-empty square channel, got {observed.shape}")
     _check_mass(observed, "observed channel rows", axis=1)
     doubled = np.concatenate((observed, observed), axis=1)
-    step = doubled.itemsize
+    row, column = doubled.strides
     # view[k, t] = doubled[t, t + k] = observed[t, (t+k) mod m]
-    view = np.lib.stride_tricks.as_strided(doubled, shape=(m, m),
-                                           strides=(step, (2 * m + 1) * step), writeable=False)
-    return np.ascontiguousarray(view).sum(axis=1) / m
+    view = np.lib.stride_tricks.as_strided(doubled, shape=observed.shape,
+                                           strides=(column, row + column), writeable=False)
+    return view.mean(axis=1)
 
 
 def gps_objective(observed: np.ndarray, delta: float, d: float, b: float) -> float:
@@ -515,10 +514,11 @@ def _newton_step(grad, hess, free):
 def gps_fit(observed: np.ndarray) -> tuple[float, float, float]:
     """Recover (delta_e, d, b) of the deviation model from an observed channel.
 
-    ``observed`` must be a square grid of at least 8 cells, else
-    DegenerateGeometry.  Reduces the channel to its lag distribution h once
-    (O(m^2)); every evaluation after that is O(m).  Start: the lag with the
-    most mass is the integer shift delta_0 and the median lag the floor.  The parabola through
+    ``observed`` is a square grid of at least 8 cells in any memory layout;
+    ``lag_distribution`` checks it and reduces it to its lag distribution h
+    once (O(m^2)), and fewer than 8 lags raise DegenerateGeometry.  Every
+    evaluation after that is O(m).  Start: the lag with the most mass is the
+    integer shift delta_0 and the median lag the floor.  The parabola through
     log(h - floor) at the peak and its two neighbours gives delta at its
     vertex and d = sqrt(-1/curvature) (the half-maximum width / 2.3548 where
     a neighbour is not above the floor or the parabola is not concave), and
@@ -546,11 +546,10 @@ def gps_fit(observed: np.ndarray) -> tuple[float, float, float]:
     """
     import numpy as np
 
-    observed = _float_array(observed, "observed channel")
-    if observed.ndim != 2 or not observed.shape[0] == observed.shape[1] >= 8:
-        raise DegenerateGeometry(f"need a square grid of at least 8 cells, got {observed.shape}")
-    m = observed.shape[0]
     lags = lag_distribution(observed)
+    m = lags.shape[0]
+    if m < 8:
+        raise DegenerateGeometry(f"need a grid of at least 8 cells, got {m}")
     total = float(lags.sum())
 
     top = int(np.argmax(lags))

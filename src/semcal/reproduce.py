@@ -42,7 +42,6 @@ def _row(item: str, quantity: str, published, computed, tolerance,
         "published": str(published) if isinstance(published, Fraction) else published,
         "computed": str(computed) if isinstance(computed, Fraction) else computed,
         "delta": delta_out,
-        "tolerance": float(tolerance) if tolerance is not None else 0.0,
         "status": status,
     }
 

@@ -85,6 +85,16 @@ DOC_EXIT_CODES = {
     "usage-prior-not-a-number": (["--test", "0.5,0.5", "--prior-positive", "x"], 1),
     "usage-unknown-format": (["--table", "83,57,17,686", "--format", "xml"], 1),
     "usage-unknown-option": (["--table", "83,57,17,686", "--bogus", "1"], 1),
+    "usage-no-source": ([], 1),
+    "usage-table-and-test": (["--table", "83,57,17,686", "--test", "0.5,0.5"], 1),
+    "usage-rates-and-table": (["--rates", "0.2,0.8,0.01,0.99", "--table", "83,57,17,686"], 1),
+    "usage-prior-positive-alone": (["--prior-positive", "0.3"], 1),
+    "usage-prior-positive-with-table": (["--table", "5,1,2,3", "--prior-positive", "0.3"], 1),
+    "usage-prior-positive-with-rates": (["--rates", "0.2,0.8,0.01,0.99",
+                                         "--prior-positive", "0.3"], 1),
+    "table-empty-text": (["--table", ""], 1),
+    "rates-empty-text": (["--rates", ""], 1),
+    "test-empty-text": (["--test", ""], 1),
 }
 
 # usage errors outside ``doc``: argv, exit code

@@ -9,10 +9,11 @@ TypeError, ValueError or OverflowError, never a NaN result, and never a
 silent conversion of text or truncation of a float.  An entry of an array
 argument (the position-model channel and lag vector) counts as an argument.
 
-A wrong-type object, such as text where a contingency table, a truth
-function or a distribution belongs, raises OutOfRange where it enters
-(``WRONG_TYPES``).  ``ERROR_PATHS`` gives each remaining raise of the
-library a call that reaches it, with its class and exit code.
+A wrong-type object, such as text where a contingency table, a rate spec,
+a truth function, a distribution, a channel or a sample set belongs, raises
+OutOfRange where it enters (``WRONG_TYPES``).  ``ERROR_PATHS`` gives each
+remaining raise of the library a call that reaches it, with its class and
+exit code.
 """
 
 import math
@@ -37,9 +38,12 @@ from semcal import (
     average_semantic_info,
     bayes_invert,
     belief_adjust,
+    channel_from_samples,
+    doc_from_rates,
     doc_from_test,
     doc_h1_from_table,
     doc_h2_from_table,
+    empirical_conditional,
     gkl_decomposition,
     gps_cep_doc,
     gps_fit,
@@ -54,6 +58,7 @@ from semcal import (
     predicted_probability,
     raven_increments,
     semantic_bayes,
+    semantic_mutual_info,
 )
 from semcal.errors import (
     AlphabetMismatch,
@@ -182,8 +187,8 @@ def test_numpy_and_fraction_scalars_are_numbers():
     assert Tabular(AB, (np.float64(0.25), 1)).table == (0.25, 1.0)
 
 
-#: name: a call that passes a wrong-type object where a table, truth function
-#: or distribution belongs
+#: name: a call that passes a wrong-type object where a table, rate spec, truth
+#: function, distribution, channel or sample set belongs
 WRONG_TYPES = {
     "raven_increments-text": lambda: raven_increments("x"),
     "doc_h1_from_table-tuple": lambda: doc_h1_from_table((1, 2, 3, 4)),
@@ -197,6 +202,18 @@ WRONG_TYPES = {
     "kl_divergence-text-sampling": lambda: kl_divergence("x", PRIOR),
     "optimize_belief-text-base": lambda: optimize_belief("x", PRIOR, PRIOR),
     "optimize_belief-none-base": lambda: optimize_belief(None, PRIOR, PRIOR),
+    "doc_from_rates-text": lambda: doc_from_rates("x"),
+    "average_semantic_info-text-prior": lambda: average_semantic_info(TAB, "x", PRIOR),
+    "average_semantic_info-text-sampling": lambda: average_semantic_info(TAB, PRIOR, "x"),
+    "optimize_belief-text-prior": lambda: optimize_belief(TAB, "x", PRIOR),
+    "optimize_belief-text-prior-gaussian-base": lambda: optimize_belief(
+        Gaussian(0.0, 1.5, positions={"a": 0.0, "b": 1.0}), "x", PRIOR),
+    "optimize_belief-text-sampling": lambda: optimize_belief(TAB, PRIOR, "x"),
+    "bayes_invert-text-prior": lambda: bayes_invert("x", (1, 0)),
+    "semantic_mutual_info-text-channel": lambda: semantic_mutual_info("x", PRIOR, [TAB]),
+    "semantic_mutual_info-text-prior": lambda: semantic_mutual_info(CHANNEL, "x", [TAB, TAB]),
+    "channel_from_samples-text": lambda: channel_from_samples("x"),
+    "empirical_conditional-text": lambda: empirical_conditional("x", {"a"}),
 }
 
 

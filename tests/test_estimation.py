@@ -1434,14 +1434,14 @@ class TestGpsValidation:
         assert isinstance(info.value, ValidationError) and info.value.exit_code == 1
 
     def test_non_square_channel(self):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(DegenerateGeometry):
             lag_distribution(np.full((4, 5), 0.2))
 
     @pytest.mark.parametrize("call", [lag_distribution,
                                       lambda observed: gps_objective(observed, 0.0, 3.0, 0.9)],
                              ids=["lag_distribution", "gps_objective"])
     def test_empty_channel_is_degenerate(self, call):
-        with pytest.raises(DegenerateInput) as info:
+        with pytest.raises(DegenerateGeometry) as info:
             call(np.zeros((0, 0)))
         assert info.value.exit_code == 2
 
@@ -1516,14 +1516,29 @@ def masked_objective(lags, delta, d, b):
     return float(lags[seen] @ log_truth - math.log2(truth.mean()) * lags.sum())
 
 
+def check_gather(lags, observed):
+    """``lags`` is within the rounding of two sums of m non-negative terms of ``index_gather``.
+
+    Each side adds the m cells of one lag (m - 1 roundings, each of at most
+    u = 2^-53 relative to a partial sum no larger than the lag's exact
+    mass) and divides by m (one more): each is within m*u of the exact mass,
+    relative to it, and so the two are within 2m*u = m*eps of each other to
+    first order; (m + 1)*eps of the reference covers the second-order terms.
+    """
+    m = observed.shape[0]
+    reference = index_gather(observed)
+    assert lags.shape == (m,)
+    assert np.all(np.abs(lags - reference) <= (m + 1) * np.finfo(float).eps * reference)
+
+
 class TestGpsFastPaths:
-    """The strided gather and the one-pass checks change no bit."""
+    """The strided gather within summation rounding; the one-pass checks change no bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(m=st.integers(8, 64), seed=st.integers(0, 2**32 - 1), zero_share=st.floats(0.0, 0.95))
     def test_gather_matches_index_gather(self, m, seed, zero_share):
         observed = random_channel(m, seed, zero_share)
-        assert np.array_equal(lag_distribution(observed), index_gather(observed))
+        check_gather(lag_distribution(observed), observed)
 
     @pytest.mark.parametrize("m", [200, 256])
     @settings(max_examples=10, deadline=None)
@@ -1531,7 +1546,7 @@ class TestGpsFastPaths:
            floor_share=st.floats(0.0, 0.9))
     def test_gather_matches_index_gather_on_model_channels(self, m, delta_e, d, floor_share):
         observed = GpsModel(grid_size=m, delta_e=delta_e, d=d, c=floor_share / m).channel_matrix()
-        assert np.array_equal(lag_distribution(observed), index_gather(observed))
+        check_gather(lag_distribution(observed), observed)
 
     @settings(max_examples=150, deadline=None)
     @given(m=st.integers(8, 64), seed=st.integers(0, 2**32 - 1),
@@ -1545,6 +1560,106 @@ class TestGpsFastPaths:
         spaced[::2] = lags
         for vector in (lags, spaced[::2]):    # contiguous and strided
             assert gps_objective(vector, delta, d, b) == masked_objective(lags, delta, d, b)
+
+
+def in_layout(channel, layout):
+    """``channel`` in a memory layout, every entry the same.
+
+    "C" and "F" order; the transpose of its column-normalized table
+    (reported x true, C-ordered); and a view of every other column of a
+    wider array.
+    """
+    if layout == "C":
+        return np.ascontiguousarray(channel)
+    if layout == "F":
+        return np.asfortranarray(channel)
+    if layout == "transposed-table":
+        return np.ascontiguousarray(channel.T).T
+    wide = np.zeros((channel.shape[0], 2 * channel.shape[1]))
+    wide[:, 1::2] = channel
+    return wide[:, 1::2]
+
+
+LAYOUTS = ["C", "F", "transposed-table", "column-strided"]
+
+
+def lag_vector_layouts(lags):
+    """One lag vector contiguous, with a stride of two and with a negative stride."""
+    spaced = np.zeros(2 * len(lags))
+    spaced[::2] = lags
+    return {"contiguous": lags, "strided": spaced[::2], "reversed": lags[::-1].copy()[::-1]}
+
+
+@st.composite
+def layout_channels(draw):
+    """A random channel (m 8..64) or an exact model channel (m 8..256)."""
+    if draw(st.booleans()):
+        return random_channel(draw(st.integers(8, 64)), draw(st.integers(0, 2**32 - 1)),
+                              draw(st.floats(0.0, 0.95)))
+    m = draw(st.integers(8, 256))
+    model = GpsModel(grid_size=m, delta_e=draw(st.floats(-m / 2, m / 2)),
+                     d=draw(st.floats(2.0, m / 4)), c=draw(st.floats(0.0, 0.9)) / m)
+    return model.channel_matrix()
+
+
+def objective_rounding(lags, delta, d, b):
+    """How far ``gps_objective`` may move when each lag moves by (m + 1)*eps of itself.
+
+    The objective is sum_k h_k*L_k - log2(mean g)*sum_k h_k with L_k =
+    log2 g_k, and the truth values g do not depend on h.  Let A = sum_k
+    h_k*|L_k| + |log2 mean g|*sum_k h_k, which bounds the objective.  Lags
+    within (m + 1)*eps of the reference move it by at most (m + 1)*eps*A;
+    the dot product and the sum of m terms, the product and the difference
+    round it by at most (m + 2)*u*A on each side, u = eps/2.  In all
+    (2m + 3)*eps*A, here 2(m + 2)*eps*A.
+    """
+    m = lags.shape[0]
+    dist = (np.arange(m) - delta + m / 2) % m - m / 2
+    truth = b * np.exp(-(dist**2) / (2.0 * d**2)) + (1.0 - b)
+    seen = lags > 0
+    scale = lags[seen] @ np.abs(np.log2(truth[seen])) + abs(math.log2(truth.mean())) * lags.sum()
+    return 2 * (m + 2) * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+class TestGpsLayouts:
+    """Every memory layout of a channel gives the same lags, objective and fit.
+
+    The reference is the C-ordered channel through the independent
+    ``index_gather``.  The "F" and "transposed-table" layouts gathered the
+    wrong cells before the gather read its strides from the array.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(channel=layout_channels())
+    def test_gather(self, layout, channel):
+        check_gather(lag_distribution(in_layout(channel, layout)), channel)
+
+    @settings(max_examples=40, deadline=None)
+    @given(channel=layout_channels(), delta=st.floats(-70.0, 70.0), d=st.floats(0.1, 40.0),
+           b=st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+    def test_objective(self, layout, channel, delta, d, b):
+        observed = in_layout(channel, layout)
+        reference_lags = index_gather(channel)
+        reference = gps_objective(reference_lags, delta, d, b)
+        values = [gps_objective(observed, delta, d, b)]
+        values += [gps_objective(lags, delta, d, b)
+                   for lags in lag_vector_layouts(lag_distribution(observed)).values()]
+        if reference == float("-inf"):
+            assert values == [reference] * len(values)
+        else:
+            tol = objective_rounding(reference_lags, delta, d, b)
+            assert max(abs(value - reference) for value in values) <= tol
+
+    @pytest.mark.parametrize("spec", EXACT_MODELS, ids=[str(s) for s in EXACT_MODELS])
+    def test_fit(self, layout, spec):
+        # test_12's bounds: the shift within 1 cell, the spread within 5%, the belief within 0.02
+        model = GpsModel(*spec)
+        m = model.grid_size
+        delta, d, b = gps_fit(in_layout(model.channel_matrix(), layout))
+        assert abs((delta - model.delta_e + m / 2) % m - m / 2) <= 1.0
+        assert abs(d - model.d) <= 0.05 * model.d
+        assert abs(b - model.reference_belief) <= 0.02
 
 
 def _with_entry(values, position, value):
