@@ -266,16 +266,25 @@ def raven_increments(t: ContingencyTable) -> tuple[float, float]:
 
     Returns (db*/dn11, db*/dn00) under the continuous relaxation of counts,
     each from the share n10/(n00 + n10) <= 1 so that no product of counts
-    overflows; one beyond float range raises DegenerateInput.
+    overflows.  Where a sum of two counts overflows, both sums are taken of
+    the halved counts (``math.ldexp``, exact but for subnormal counts): each
+    enters as a ratio to a count or to the other sum, so the results keep
+    their scale.  A derivative beyond float range raises DegenerateInput.
     """
     _require_table(t)
     if t.n11 <= 0:
         raise EmptyRow("derivatives need n11 > 0")
-    if t.n00 + t.n10 <= 0:
+    counter, positive = t.n00 + t.n10, t.n01 + t.n11
+    if counter <= 0:
         raise EmptyRow("derivatives need n00 + n10 > 0")
-    share = t.n10 / (t.n00 + t.n10)
+    n10 = t.n10
+    if counter == math.inf or positive == math.inf:
+        n10 = math.ldexp(n10, -1)
+        counter = math.ldexp(t.n00, -1) + n10
+        positive = math.ldexp(t.n01, -1) + math.ldexp(t.n11, -1)
+    share = n10 / counter
     d_n11 = share * t.n01 / t.n11 / t.n11
-    d_n00 = share * (t.n01 + t.n11) / t.n11 / (t.n00 + t.n10)
+    d_n00 = share * positive / t.n11 / counter
     if not (math.isfinite(d_n11) and math.isfinite(d_n00)):
         raise DegenerateInput(f"raven increments of {t} overflow float arithmetic")
     return d_n11, d_n00

@@ -197,6 +197,13 @@ def _require_same_alphabet(a, b) -> None:
             f"alphabets differ: {a.alphabet.labels} vs {b.alphabet.labels}")
 
 
+def _require_distributions(q, p) -> None:
+    """OutOfRange unless q and p are Distributions; AlphabetMismatch if their alphabets differ."""
+    if not (isinstance(q, Distribution) and isinstance(p, Distribution)):
+        raise OutOfRange(f"expected two Distributions, got {q!r} and {p!r}")
+    _require_same_alphabet(q, p)
+
+
 def _kl_bits(q: Sequence[float], p: Sequence[float]) -> float:
     """KL(q || p) in bits over two mass sequences of the same length.
 
@@ -219,9 +226,7 @@ def kl_divergence(q: Distribution, p: Distribution) -> float:
 
     Requires p to dominate q; terms with q_i = 0 contribute nothing.
     """
-    if not (isinstance(q, Distribution) and isinstance(p, Distribution)):
-        raise OutOfRange(f"KL divergence needs two Distributions, got {q!r} and {p!r}")
-    _require_same_alphabet(q, p)
+    _require_distributions(q, p)
     return _kl_bits(q.probs, p.probs)
 
 

@@ -16,8 +16,9 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .distributions import Distribution, _require_same_alphabet, bayes_invert, kl_divergence
-from .errors import AbsoluteContinuityViolated, IndexMismatch
+from .distributions import (Distribution, _require_distributions, _require_same_alphabet,
+                            bayes_invert, kl_divergence)
+from .errors import AbsoluteContinuityViolated, IndexMismatch, OutOfRange
 from .truth_functions import TruthFunction, semantic_bayes, truth_and_logical_probability
 
 if TYPE_CHECKING:
@@ -42,7 +43,7 @@ def average_semantic_info(tf: TruthFunction, prior: Distribution,
     ``prior`` is the evidence source P(E); ``sampling`` is the observed
     conditional distribution P(E | hypothesis selected).
     """
-    _require_same_alphabet(prior, sampling)
+    _require_distributions(prior, sampling)
     truth_values, lp = truth_and_logical_probability(tf, prior)
     if lp is None:
         return 0.0
@@ -65,7 +66,7 @@ def gkl_decomposition(tf: TruthFunction, prior: Distribution,
     information equals kl_info - penalty (with penalty = +inf when the
     likelihood fails to dominate the sampling distribution).
     """
-    _require_same_alphabet(prior, sampling)
+    _require_distributions(prior, sampling)
     kl_info = kl_divergence(sampling, prior)
     likelihood = semantic_bayes(prior, tf)
     try:
@@ -82,6 +83,11 @@ def semantic_mutual_info(channel: Channel, prior: Distribution,
     Weights each hypothesis by its selection probability P(h_j) and uses the
     Bayes-inverted sampling distribution P(E | h_j) from the channel row.
     """
+    # a Channel is known by its hypotheses: its module is not loaded on the info path
+    if not isinstance(getattr(channel, "hypotheses", None), tuple):
+        raise OutOfRange(f"channel must be a Channel, got {channel!r}")
+    if not isinstance(prior, Distribution):
+        raise OutOfRange(f"prior must be a Distribution, got {prior!r}")
     _require_same_alphabet(channel, prior)
     if len(tfs) != len(channel.hypotheses):
         raise IndexMismatch(

@@ -393,12 +393,26 @@ class TestRavenIncrements:
         # (n00 + n10)**2 overflows, yet d/dn11 = 6e-300 and d/dn00 = 8e-600 underflows to 0
         assert raven_increments(ContingencyTable(1, 2, 3, 1e300)) == (6e-300, 0.0)
 
-    @pytest.mark.parametrize("counts", [(1e-300, 1, 1, 0), (1e308, 1e308, 1e308, 1e308)],
-                             ids=["d11-is-1e600", "sums-overflow"])
+    @pytest.mark.parametrize("counts", [(1e-300, 1, 1, 0)], ids=["d11-is-1e600"])
     def test_derivative_beyond_float_range_is_degenerate(self, counts):
         with pytest.raises(DegenerateInput) as info:
             raven_increments(ContingencyTable(*counts))
         assert info.value.exit_code == 2
+
+    @pytest.mark.parametrize("counts", [
+        (1e308, 1e308, 1e308, 1e308), (1.7e308, 1.7e308, 1.7e308, 1.7e308),
+        (1, 1e308, 1, 1e308), (3, 1.7e308, 1e308, 1e308), (1e308, 7, 1e308, 1e308),
+    ], ids=["both-sums", "both-sums-near-max", "counter-sum", "counter-sum-small-n11",
+            "both-sums-small-n10"])
+    def test_sums_beyond_float_range_are_halved(self, counts):
+        # a sum of two counts overflows, yet both derivatives are floats: (1e308,)*4
+        # has 5e-309 and 5e-309, and (1, 1e308, 1, 1e308) has 0.5, which read 0
+        # while n00 + n10 was inf; within three ulps of the exact value, as above
+        n11, n10, n01, n00 = map(Fraction, counts)
+        exact = (n10 * n01 / ((n00 + n10) * n11**2), n10 * (n01 + n11) / (n11 * (n00 + n10) ** 2))
+        got = raven_increments(ContingencyTable(*counts))
+        for value, want in zip(got, exact):
+            assert abs(Fraction(value) - want) <= 3 * Fraction(math.ulp(float(want)))
 
     def test_doubling_claims(self):
         # n00 >> n10 and n11 = n01: doubling n00 halves b'; doubling n11 cuts 1/4

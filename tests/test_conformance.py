@@ -212,6 +212,13 @@ WRONG_TYPES = {
     "bayes_invert-text-prior": lambda: bayes_invert("x", (1, 0)),
     "semantic_mutual_info-text-channel": lambda: semantic_mutual_info("x", PRIOR, [TAB]),
     "semantic_mutual_info-text-prior": lambda: semantic_mutual_info(CHANNEL, "x", [TAB, TAB]),
+    # objects of the right alphabet but the wrong kind
+    "semantic_mutual_info-distribution-channel": lambda: semantic_mutual_info(PRIOR, PRIOR, [TAB]),
+    "semantic_mutual_info-channel-prior": lambda: semantic_mutual_info(CHANNEL, CHANNEL,
+                                                                        [TAB, TAB]),
+    "average_semantic_info-channel-prior": lambda: average_semantic_info(TAB, CHANNEL, PRIOR),
+    "gkl_decomposition-channel-sampling": lambda: gkl_decomposition(TAB, PRIOR, CHANNEL),
+    "optimize_belief-channel-sampling": lambda: optimize_belief(TAB, PRIOR, CHANNEL),
     "channel_from_samples-text": lambda: channel_from_samples("x"),
     "empirical_conditional-text": lambda: empirical_conditional("x", {"a"}),
 }
