@@ -14,7 +14,7 @@ Only the modules ``doc`` needs (``confirmation``, ``distributions``,
 ``errors``) are imported at load time.  The other commands import their
 modules when they run: each process runs one command, and compiling and
 executing the modules it does not use (the belief searches, the position
-model, ``fractions``) would add about a fifth to the wall time of a
+model, ``fractions``, ``csv``) would add about a fifth to the wall time of a
 ``semcal doc`` process.  The value classes are built on
 ``distributions.Frozen`` rather than the standard library's class
 generator, whose import (with ``inspect``) and per-class ``exec`` would
@@ -26,7 +26,6 @@ attribute (a timer, a call counter) sees them.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -68,6 +67,8 @@ def _parse_floats(text: str, expected: int, what: str) -> list[float]:
 
 def _read_pairs(path: str, header: str):
     """Yield the two-column rows of a CSV file, skipping blank and '#' rows."""
+    import csv
+
     try:
         with open(path, newline="") as fh:
             for row in csv.reader(fh):

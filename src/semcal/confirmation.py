@@ -10,7 +10,9 @@ with prior counterexample/positive masses (P0, P1) and posterior masses
     Q0/Q1 >  P0/P1:  b'' = (P0/P1)/(Q0/Q1),  b* = b'' - 1   (over-asserted)
 
 The achieved information always equals KL((Q1,Q0) || (P1,P0)) in bits, and
-it is computed as that divergence, by the one KL routine in ``distributions``.
+it is computed as that divergence on the plain mass pairs, by the one KL
+routine in ``distributions``; a test reading's posterior pair comes from the
+one renormalization and Bayes' rule there, with no ``Distribution`` built.
 Contingency-table and sensitivity/specificity front ends reduce to these
 forms, and so does the circular-error claim of a position estimator
 (``gps_cep_doc``, in exact rational arithmetic); the raven-paradox
@@ -24,9 +26,8 @@ import math
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
-from .distributions import (Alphabet, Distribution, Frozen, _kl_bits, bayes_invert,
-                            kl_divergence, require_count, require_finite, require_masses,
-                            require_unit_interval)
+from .distributions import (Frozen, _bayes_masses, _kl_bits, _normalized, require_count,
+                            require_finite, require_masses, require_unit_interval)
 from .errors import (
     DegenerateGeometry,
     DegenerateInput,
@@ -206,7 +207,12 @@ def doc_from_test(sensitivity: float, specificity: float,
     b+* = 1 - (1 - specificity)/sensitivity and b-* = 1 - (1 - sensitivity)/
     specificity; both are prior-free.  When ``prior_positive`` (the disease
     base rate) is supplied, each result carries the average information of
-    the reading, which does depend on the prior.
+    the reading, which does depend on the prior: KL(P(e|reading) || P(e)) over
+    the (disease, no disease) pair, where P(e|reading) is Bayes' rule on the
+    prior and the reading's (P(reading|e1), P(reading|e0)) row.  It works on
+    the mass pairs with the helpers that ``Distribution`` and ``bayes_invert``
+    use, so its bits are those of ``kl_divergence(bayes_invert(prior, row),
+    prior)``, and a reading no case can give raises ZeroSelectionMass.
     """
     require_unit_interval("sensitivity and specificity", (sensitivity, specificity))
     if sensitivity == 0.0:
@@ -218,11 +224,11 @@ def doc_from_test(sensitivity: float, specificity: float,
     if prior_positive is None:
         return DocResult(*positive), DocResult(*negative)
     require_unit_interval("prior_positive", (prior_positive,))
-    prior = Distribution(Alphabet(("e1", "e0")), (prior_positive, 1.0 - prior_positive))
-    pos_sampling = bayes_invert(prior, (sensitivity, 1.0 - specificity))
-    neg_sampling = bayes_invert(prior, (1.0 - sensitivity, specificity))
-    return (DocResult(*positive, kl_divergence(pos_sampling, prior)),
-            DocResult(*negative, kl_divergence(neg_sampling, prior)))
+    prior = _normalized((prior_positive, 1.0 - prior_positive))
+    pos_sampling = _normalized(_bayes_masses(prior, (sensitivity, 1.0 - specificity)))
+    neg_sampling = _normalized(_bayes_masses(prior, (1.0 - sensitivity, specificity)))
+    return (DocResult(*positive, _kl_bits(pos_sampling, prior)),
+            DocResult(*negative, _kl_bits(neg_sampling, prior)))
 
 
 def gps_cep_doc(cep_fraction, in_circle_cells: int, total_cells: int) -> DocResult:

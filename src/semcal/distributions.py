@@ -76,6 +76,29 @@ def require_masses(what: str, values) -> float:
     return total
 
 
+def _normalized(masses: Sequence[float]) -> tuple[float, ...]:
+    """Probability masses checked by ``require_masses`` and divided by their fsum.
+
+    The one renormalization: ``Distribution`` stores its masses this way,
+    and the mass-pair paths that build no ``Distribution`` call it too.
+    """
+    total = require_masses("probabilities", masses)
+    return tuple([float(p) / total for p in masses])
+
+
+def _bayes_masses(prior: Sequence[float], row: Sequence[float]) -> list[float]:
+    """Bayes' rule on masses: prior*row over its fsum, or ZeroSelectionMass if that is not > 0.
+
+    The one Bayes' rule, shared by ``bayes_invert`` and the mass-pair paths;
+    the result is renormalized, as a posterior, by ``_normalized``.
+    """
+    joint = [p * float(v) for p, v in zip(prior, row)]
+    mass = math.fsum(joint)
+    if mass <= 0:
+        raise ZeroSelectionMass("prior puts no mass where the channel row is positive")
+    return [j / mass for j in joint]
+
+
 class Frozen:
     """Base of the immutable value classes.
 
@@ -165,10 +188,8 @@ class Distribution(Frozen):
         if len(probs) != len(alphabet):
             raise AlphabetMismatch(
                 f"{len(probs)} probabilities for {len(alphabet)} labels")
-        total = require_masses("probabilities", probs)
-        probs = tuple([float(p) / total for p in probs])
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", _normalized(probs))
 
     def __getitem__(self, label: str) -> float:
         return self.probs[self.alphabet.index(label)]
@@ -239,8 +260,4 @@ def bayes_invert(prior: Distribution, channel_row: Sequence[float]) -> Distribut
         raise AlphabetMismatch(
             f"channel row length {len(row)} != alphabet size {len(prior.alphabet)}")
     require_unit_interval("channel row values", row)
-    joint = [p * float(v) for p, v in zip(prior.probs, row)]
-    mass = math.fsum(joint)
-    if mass <= 0:
-        raise ZeroSelectionMass("prior puts no mass where the channel row is positive")
-    return Distribution(prior.alphabet, [j / mass for j in joint])
+    return Distribution(prior.alphabet, _bayes_masses(prior.probs, row))

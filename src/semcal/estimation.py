@@ -167,20 +167,27 @@ def _concave_root(k) -> float:
         x += step
 
 
-def _belief_groups(table: tuple[float, ...], prior: Distribution, sampling: Distribution):
-    """The sampling mass grouped by base truth value, for the belief solve.
+def _belief_groups(table: tuple[float, ...], prior: Distribution, sampling: Distribution,
+                   complement: bool = False):
+    """The sampling mass grouped by truth value, for the belief solve on one branch.
 
-    Returns (groups, kept, mean): the (t_g, Q_g) pairs, where Q_g is the
-    sampling mass of the labels with truth value t_g over labels with q > 0
-    only, their total M, and the prior mean E_P[t] of the base.  The caller
-    has checked that prior and sampling share an alphabet.
+    The truth values are the base's t, or its complement 1 - t when
+    ``complement`` (the negative branch), formed in the same one pass over
+    the labels.  Returns (groups, kept, mean): the (t_g, Q_g) pairs, where
+    Q_g is the sampling mass of the labels with truth value t_g over labels
+    with q > 0 only, their total M, and the prior mean E_P[t] of those truth
+    values.  The caller has checked that prior and sampling share an
+    alphabet.
     """
     grouped = {}
-    for q, t in zip(sampling.probs, table):
+    products = []
+    for q, p, t in zip(sampling.probs, prior.probs, table):
+        if complement:
+            t = 1.0 - t
+        products.append(p * t)
         if q > 0.0:
             grouped[t] = grouped.get(t, 0.0) + q
-    mean = math.fsum(map(operator.mul, prior.probs, table))
-    return tuple(grouped.items()), math.fsum(grouped.values()), mean
+    return tuple(grouped.items()), math.fsum(grouped.values()), math.fsum(products)
 
 
 def _two_group_root(groups, kept: float, mean: float) -> float:
@@ -294,8 +301,7 @@ def optimize_belief(base_tf: TruthFunction, prior: Distribution,
     slope = math.fsum((q - p) * t for q, p, t in zip(sampling.probs, prior.probs, table))
     if slope != 0.0:
         # the belief -c in t is the belief c in 1 - t
-        branch = table if slope > 0.0 else tuple([1.0 - t for t in table])
-        groups, kept, mean = _belief_groups(branch, prior, sampling)
+        groups, kept, mean = _belief_groups(table, prior, sampling, complement=slope < 0.0)
         # two truth values where q > 0 rule out a constant base without a scan
         if len(groups) > 1 or min(table) != max(table):
             if len(groups) > 2:
@@ -344,12 +350,15 @@ def channel_from_samples(samples: SampleSet) -> tuple[Channel, Distribution]:
     return Channel(samples.alphabet, conditions, rows), prior
 
 
-def _float_array(values, what: str) -> np.ndarray:
-    """``values`` as a float array, or OutOfRange unless every entry is a real number.
+def _float_array(values, what: str) -> tuple[np.ndarray, float]:
+    """``values`` as a float64 array and the machine epsilon of a narrower float type.
 
-    The kind of the array is checked before the cast, which would parse
-    numeric text and drop the imaginary part of a complex number; the
-    entries of an object array are checked one by one.
+    OutOfRange unless every entry is a real number.  The kind of the array
+    is checked before the cast, which would parse numeric text and drop the
+    imaginary part of a complex number; the entries of an object array are
+    checked one by one.  The epsilon is that of the input's own type when it
+    is a float type narrower than float64 (float32, float16), whose masses
+    can only sum to 1 to its rounding, and 0.0 otherwise.
     """
     import numpy as np
 
@@ -357,24 +366,31 @@ def _float_array(values, what: str) -> np.ndarray:
         array = np.asarray(values)
         kind = array.dtype.kind
         if kind in "biuf" or (kind == "O" and all(isinstance(v, numbers.Real) for v in array.flat)):
-            return array.astype(float, copy=False)
+            narrow = kind == "f" and array.dtype.itemsize < 8
+            return (array.astype(float, copy=False),
+                    float(np.finfo(array.dtype).eps) if narrow else 0.0)
     except (TypeError, ValueError, OverflowError):
         pass
     raise OutOfRange(f"{what} must hold real numbers")
 
 
-def _check_mass(values: np.ndarray, what: str, axis: int | None = None):
+def _check_mass(values: np.ndarray, what: str, axis: int | None = None, eps: float = 0.0):
     """Return the sums of ``values`` along ``axis``, once each is a probability mass.
 
     One min and one sum accept a valid array: no entry below 0 and every sum
-    within ``NORMALIZATION_TOLERANCE`` of 1.  The sum runs only once the
-    minimum has ruled out NaN and -inf.  The one sum of a whole array
-    (``axis`` None) is a float, compared in a tenth of the time of a numpy
-    scalar.  Only an array that fails is scanned again, to raise
-    NonFinite, NegativeMass or NotNormalized, first match in that order.
+    within ``NORMALIZATION_TOLERANCE`` of 1, or, for masses of a narrower
+    float type with machine epsilon ``eps``, within n*eps for the n masses
+    of a sum if that is larger.  The sum runs only once the minimum has
+    ruled out NaN and -inf.  The one sum of a whole array (``axis`` None) is
+    a float, compared in a tenth of the time of a numpy scalar.  Only an
+    array that fails is scanned again, to raise NonFinite, NegativeMass or
+    NotNormalized, first match in that order.
     """
     import numpy as np
 
+    tolerance = NORMALIZATION_TOLERANCE
+    if eps:
+        tolerance = max(tolerance, eps * (values.size if axis is None else values.shape[axis]))
     sums = off = None
     if not values.size or values.min() >= 0:
         if axis is None:
@@ -383,7 +399,7 @@ def _check_mass(values: np.ndarray, what: str, axis: int | None = None):
         else:
             sums = values.sum(axis=axis)
             off = abs(sums - 1.0).max()
-    if off is None or not off <= NORMALIZATION_TOLERANCE:
+    if off is None or not off <= tolerance:
         if not np.isfinite(values).all():
             raise NonFinite(f"{what}: an entry is NaN or infinite")
         if (values < 0).any():
@@ -399,17 +415,21 @@ def lag_distribution(observed: np.ndarray) -> np.ndarray:
     of m cells; entry k of the result is (1/m) * sum_t observed[t, (t+k) mod m],
     the joint probability that the reported cell lies k steps past the true
     one; the entries total 1.  Anything but a non-empty square matrix raises
-    DegenerateGeometry, and each row passes ``_check_mass``.  The gather is
-    a strided view of the channel placed beside itself: row k of the view
-    walks the diagonal t -> t + k, with strides read from the doubled
-    array, so a channel in any memory layout gathers the same cells.
+    DegenerateGeometry, and each row passes ``_check_mass``.  A channel of a
+    float type narrower than float64 has rows that sum to 1 only to its own
+    rounding: they are held to that and divided by their float64 sums.  The
+    gather is a strided view of the channel placed beside itself: row k of
+    the view walks the diagonal t -> t + k, with strides read from the
+    doubled array, so a channel in any memory layout gathers the same cells.
     """
     import numpy as np
 
-    observed = _float_array(observed, "observed channel")
+    observed, eps = _float_array(observed, "observed channel")
     if observed.ndim != 2 or observed.shape[0] != observed.shape[1] or observed.size == 0:
         raise DegenerateGeometry(f"need a non-empty square channel, got {observed.shape}")
-    _check_mass(observed, "observed channel rows", axis=1)
+    sums = _check_mass(observed, "observed channel rows", axis=1, eps=eps)
+    if eps:
+        observed = observed / sums[:, None]
     doubled = np.concatenate((observed, observed), axis=1)
     row, column = doubled.strides
     # view[k, t] = doubled[t, t + k] = observed[t, (t+k) mod m]
@@ -445,11 +465,11 @@ def gps_objective(observed: np.ndarray, delta: float, d: float, b: float) -> flo
         raise OutOfRange(f"spread {d} is too large: 2*d**2 is not finite")
     if not 0.0 <= b <= 1.0:
         raise BeliefOutOfRange(f"belief must lie in [0, 1], got b={b}")
-    lags = _float_array(observed, "observed channel or lag distribution")
+    lags, eps = _float_array(observed, "observed channel or lag distribution")
     if lags.ndim != 1:
-        lags = lag_distribution(lags)
+        lags, eps = lag_distribution(observed), 0.0
     lags = np.ascontiguousarray(lags)    # the dot product sums in one order
-    total = float(_check_mass(lags, "lag distribution"))
+    total = float(_check_mass(lags, "lag distribution", eps=eps))
     m = lags.shape[0]
     truth = b * gaussian_profile(m, delta, d) + (1.0 - b)
     logged = truth

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semcal import (
     Alphabet,
@@ -42,6 +44,18 @@ from semcal.errors import (
 )
 
 AB = Alphabet(("e1", "e0"))
+
+#: Probabilities with 0, 1 and the values next to them.
+UNIT = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1e-300, 1e-16, 1.0 - 1e-16, 1.0 - 2**-53]),
+                 st.floats(0.0, 1e-12), st.floats(1.0 - 1e-12, 1.0), st.floats(0.0, 1.0))
+
+
+def outcome(call):
+    """call()'s value, or the class of the SemcalError it raises."""
+    try:
+        return call()
+    except SemcalError as exc:
+        return type(exc)
 
 
 def random_rates(rng):
@@ -285,6 +299,21 @@ class TestDocFromTest:
     def test_invalid_prior(self, prior, error):
         with pytest.raises(error):
             doc_from_test(0.917, 0.999, prior_positive=prior)
+
+    @settings(max_examples=500, deadline=None)
+    @given(sens=UNIT.filter(lambda x: x > 0.0), spec=UNIT, pi=UNIT)
+    def test_mass_pairs_give_the_bits_of_the_distribution_path(self, sens, spec, pi):
+        # each reading's bits are those of the Distribution, bayes_invert and
+        # kl_divergence objects, to the last bit, or both paths raise alike
+        def objects():
+            prior = Distribution(AB, (pi, 1.0 - pi))
+            return tuple(kl_divergence(bayes_invert(prior, row), prior)
+                         for row in ((sens, 1.0 - spec), (1.0 - sens, spec)))
+
+        def pairs():
+            return tuple(r.information_bits for r in doc_from_test(sens, spec, prior_positive=pi))
+
+        assert outcome(pairs) == outcome(objects)
 
     @pytest.mark.parametrize("sens, spec, prior", [
         (0.5, 1.0, 0.0), (0.5, 0.0, 0.0), (1.0, 0.5, 1.0), (1.0, 0.0, 0.5)])

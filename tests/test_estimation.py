@@ -747,6 +747,14 @@ class TestBeliefGap:
         assert slope == pytest.approx((info(b + h) - info(b - h)) / (2.0 * h),
                                       rel=1e-5, abs=1e-7)
 
+    @settings(max_examples=200, deadline=None)
+    @given(problem=branch_problems())
+    def test_complement_groups_equal_groups_of_the_complement(self, problem):
+        # the grouping pass forms 1 - t itself, with the same keys and mean
+        table, prior, sampling = problem
+        assert (estimation._belief_groups(table, prior, sampling, complement=True)
+                == estimation._belief_groups(branch_table(table, -1), prior, sampling))
+
     @settings(max_examples=300, deadline=None)
     @given(problem=branch_problems())
     def test_root_is_no_worse_than_brent(self, problem):
@@ -1838,6 +1846,50 @@ def test_one_pass_checks_keep_error_class(lags, observed, error):
         with pytest.raises(error) as info, np.errstate(over="ignore"):
             call()
         assert info.value.exit_code == 1
+
+
+NARROW_CASES = {name: cases for name, cases in BAD_MASS_CASES.items()
+                if name != "finite-sum-overflows"}    # 1e308 is inf in float32
+
+
+@pytest.mark.parametrize("lags, observed, error", NARROW_CASES.values(), ids=NARROW_CASES.keys())
+def test_float32_checks_keep_error_class(lags, observed, error):
+    lags, observed = lags.astype(np.float32), observed.astype(np.float32)
+    for call in (lambda: gps_objective(lags, 0.0, 3.0, 0.9),
+                 lambda: gps_objective(observed, 0.0, 3.0, 0.9),
+                 lambda: lag_distribution(observed), lambda: gps_fit(observed)):
+        with pytest.raises(error):
+            call()
+
+
+class TestNarrowFloatChannels:
+    """A float32 channel is held to the rounding of float32, a float64 one to 1e-9."""
+
+    MODELS = [(32, 1, 3.0, 0.001), (200, 3, 6.0, 0.001), (64, 2, 4.0, 0.002)]
+
+    @pytest.mark.parametrize("model", MODELS, ids=str)
+    def test_fit_matches_the_float64_fit(self, model):
+        channel = GpsModel(*model).channel_matrix()
+        narrow = channel.astype(np.float32)
+        # the cast moves the row sums beyond the float64 tolerance
+        assert abs(narrow.sum(axis=1, dtype=float) - 1.0).max() > NORMALIZATION_TOLERANCE
+        fit = gps_fit(channel)
+        assert max(abs(a - b) for a, b in zip(gps_fit(narrow), fit)) <= 1e-6
+        exact = gps_objective(channel, *fit)
+        assert gps_objective(narrow, *fit) == pytest.approx(exact, abs=1e-6)
+        narrow_lags = lag_distribution(channel).astype(np.float32)
+        assert gps_objective(narrow_lags, *fit) == pytest.approx(exact, abs=1e-6)
+        assert lag_distribution(narrow).sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("dtype, off", [(np.float64, 2e-9), (np.float32, 1e-5),
+                                            (np.float16, 0.05)])
+    def test_sums_beyond_the_rounding_of_their_type_are_refused(self, dtype, off):
+        # 32 masses a row: float32 allows 32*eps = 3.8e-6, float16 0.031
+        channel = (_GOOD_CHANNEL * (1.0 + off)).astype(dtype)
+        lags = (_GOOD_LAGS * (1.0 + off)).astype(dtype)
+        for call in (lambda: gps_fit(channel), lambda: gps_objective(lags, 0.0, 3.0, 0.9)):
+            with pytest.raises(NotNormalized):
+                call()
 
 
 def pure_gaussian(m, delta, d):

@@ -4,7 +4,8 @@
 first use.  numpy would be most of the time the whole package takes to
 import, and only the position model (``GpsModel``, ``lag_distribution``,
 ``gps_objective``, ``gps_fit``) uses it.  ``semcal doc`` loads neither the belief searches nor
-``fractions``.  semcal imports neither ``dataclasses`` nor the ``inspect`` it pulls in (the
+``fractions``, and no command loads ``csv`` but the two that read CSV files (``info`` and
+``msie --samples``).  semcal imports neither ``dataclasses`` nor the ``inspect`` it pulls in (the
 value classes are built on ``distributions.Frozen``); only numpy, on the position-model path,
 imports ``inspect``.  Each load check runs in a fresh interpreter, because this
 test process has everything loaded already.
@@ -85,7 +86,7 @@ import json, sys
 import semcal.cli
 def loaded():
     return sorted(m for m in sys.modules if m.partition(".")[0] == "semcal"
-                  or m in ("fractions", "numpy", "dataclasses", "inspect"))
+                  or m in ("fractions", "numpy", "dataclasses", "inspect", "csv"))
 before = loaded()
 status = semcal.cli.main(sys.argv[1:])
 print(json.dumps({"before": before, "status": status, "after": loaded()}))
@@ -96,15 +97,15 @@ INFO = [*SHELL, "semcal.semantic_info", "semcal.truth_functions"]
 SEARCHES = [*INFO, "semcal.estimation", "semcal.estimation_types"]
 
 # name: (argv, exit status, what the command leaves loaded among semcal.*, fractions, numpy,
-# dataclasses and inspect)
+# dataclasses, inspect and csv)
 LOADS = {
     "doc-table": (NUMPY_FREE["doc-table"], 0, SHELL),
     "doc-rates": (NUMPY_FREE["doc-rates"], 0, SHELL),
     "doc-test": (NUMPY_FREE["doc-test"], 0, SHELL),
     "doc-malformed": (["doc", "--table", "1,2"], 1, SHELL),
     "doc-empty-row": (["doc", "--table", "0,5,0,5"], 2, SHELL),
-    "info": (NUMPY_FREE["info"], 0, INFO),
-    "msie-samples": (NUMPY_FREE["msie-samples"], 0, SEARCHES),
+    "info": (NUMPY_FREE["info"], 0, [*INFO, "csv"]),
+    "msie-samples": (NUMPY_FREE["msie-samples"], 0, [*SEARCHES, "csv"]),
     # numpy imports inspect itself (numpy._core.overrides)
     "msie-gps": (["msie", "--gps", "{dir}/gps.json"], 0, [*SEARCHES, "numpy", "inspect"]),
     "reproduce": (["reproduce"], 0, [*SHELL, "fractions", "semcal.reproduce"]),
@@ -121,7 +122,7 @@ def test_command_loads_only_its_modules(files, argv, status, loaded):
 def test_bare_import_loads_no_submodule():
     code = ("import json, sys, semcal; print(json.dumps(sorted(m for m in sys.modules if "
             "m.partition('.')[0] == 'semcal' or m in ('fractions', 'numpy', 'dataclasses', "
-            "'inspect'))))")
+            "'inspect', 'csv'))))")
     assert fresh_python("-c", code) == ["semcal"]
 
 
