@@ -167,27 +167,20 @@ def _concave_root(k) -> float:
         x += step
 
 
-def _belief_groups(table: tuple[float, ...], prior: Distribution, sampling: Distribution,
-                   complement: bool = False):
-    """The sampling mass grouped by truth value, for the belief solve on one branch.
+def _belief_groups(table: tuple[float, ...], prior: Distribution, sampling: Distribution):
+    """The sampling mass grouped by base truth value, for the belief solve.
 
-    The truth values are the base's t, or its complement 1 - t when
-    ``complement`` (the negative branch), formed in the same one pass over
-    the labels.  Returns (groups, kept, mean): the (t_g, Q_g) pairs, where
-    Q_g is the sampling mass of the labels with truth value t_g over labels
-    with q > 0 only, their total M, and the prior mean E_P[t] of those truth
-    values.  The caller has checked that prior and sampling share an
-    alphabet.
+    Returns (groups, kept, mean): the (t_g, Q_g) pairs, where Q_g is the
+    sampling mass of the labels with truth value t_g over labels with q > 0
+    only, their total M, and the prior mean E_P[t] of the base.  The caller
+    has checked that prior and sampling share an alphabet.
     """
     grouped = {}
-    products = []
-    for q, p, t in zip(sampling.probs, prior.probs, table):
-        if complement:
-            t = 1.0 - t
-        products.append(p * t)
+    for q, t in zip(sampling.probs, table):
         if q > 0.0:
             grouped[t] = grouped.get(t, 0.0) + q
-    return tuple(grouped.items()), math.fsum(grouped.values()), math.fsum(products)
+    mean = math.fsum(map(operator.mul, prior.probs, table))
+    return tuple(grouped.items()), math.fsum(grouped.values()), mean
 
 
 def _two_group_root(groups, kept: float, mean: float) -> float:
@@ -301,7 +294,8 @@ def optimize_belief(base_tf: TruthFunction, prior: Distribution,
     slope = math.fsum((q - p) * t for q, p, t in zip(sampling.probs, prior.probs, table))
     if slope != 0.0:
         # the belief -c in t is the belief c in 1 - t
-        groups, kept, mean = _belief_groups(table, prior, sampling, complement=slope < 0.0)
+        branch = table if slope > 0.0 else tuple([1.0 - t for t in table])
+        groups, kept, mean = _belief_groups(branch, prior, sampling)
         # two truth values where q > 0 rule out a constant base without a scan
         if len(groups) > 1 or min(table) != max(table):
             if len(groups) > 2:
@@ -350,47 +344,49 @@ def channel_from_samples(samples: SampleSet) -> tuple[Channel, Distribution]:
     return Channel(samples.alphabet, conditions, rows), prior
 
 
-def _float_array(values, what: str) -> tuple[np.ndarray, float]:
-    """``values`` as a float64 array and the machine epsilon of a narrower float type.
+def _float_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array, or OutOfRange unless every entry is a real number.
 
-    OutOfRange unless every entry is a real number.  The kind of the array
-    is checked before the cast, which would parse numeric text and drop the
-    imaginary part of a complex number; the entries of an object array are
-    checked one by one.  The epsilon is that of the input's own type when it
-    is a float type narrower than float64 (float32, float16), whose masses
-    can only sum to 1 to its rounding, and 0.0 otherwise.
+    The kind of the array is checked before the cast, which would parse
+    numeric text and drop the imaginary part of a complex number; the
+    entries of an object array are checked one by one.  A float32 or
+    float16 array keeps its type, so that ``_check_mass`` can hold it to its
+    own rounding; every other array becomes float64.
     """
     import numpy as np
 
     try:
         array = np.asarray(values)
         kind = array.dtype.kind
+        if kind == "f" and array.itemsize < 8:
+            return array
         if kind in "biuf" or (kind == "O" and all(isinstance(v, numbers.Real) for v in array.flat)):
-            narrow = kind == "f" and array.dtype.itemsize < 8
-            return (array.astype(float, copy=False),
-                    float(np.finfo(array.dtype).eps) if narrow else 0.0)
+            return array.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
         pass
     raise OutOfRange(f"{what} must hold real numbers")
 
 
-def _check_mass(values: np.ndarray, what: str, axis: int | None = None, eps: float = 0.0):
-    """Return the sums of ``values`` along ``axis``, once each is a probability mass.
+def _check_mass(values: np.ndarray, what: str, axis: int | None = None):
+    """Return the float64 sums of ``values`` along ``axis``, once each is a probability mass.
 
     One min and one sum accept a valid array: no entry below 0 and every sum
-    within ``NORMALIZATION_TOLERANCE`` of 1, or, for masses of a narrower
-    float type with machine epsilon ``eps``, within n*eps for the n masses
-    of a sum if that is larger.  The sum runs only once the minimum has
-    ruled out NaN and -inf.  The one sum of a whole array (``axis`` None) is
-    a float, compared in a tenth of the time of a numpy scalar.  Only an
-    array that fails is scanned again, to raise NonFinite, NegativeMass or
-    NotNormalized, first match in that order.
+    within ``NORMALIZATION_TOLERANCE`` of 1, or, for float32 and float16
+    masses, within 4 eps of their type if that is larger: masses that sum
+    to 1 in such a type do so to a few ulps of 1, whatever their number (at
+    most eps/2 off when rounded from float64, 2 eps when normalized in the
+    type itself, seen up to 4096 masses).  The sum runs only once the
+    minimum has ruled out NaN and -inf.  The one sum of a whole array
+    (``axis`` None) is a float, compared in a tenth of the time of a numpy
+    scalar.  Only an array that fails is scanned again, to raise
+    NonFinite, NegativeMass or NotNormalized, first match in that order.
     """
     import numpy as np
 
     tolerance = NORMALIZATION_TOLERANCE
-    if eps:
-        tolerance = max(tolerance, eps * (values.size if axis is None else values.shape[axis]))
+    if values.itemsize < 8:
+        tolerance = max(tolerance, 4.0 * float(np.finfo(values.dtype).eps))
+        values = values.astype(float)
     sums = off = None
     if not values.size or values.min() >= 0:
         if axis is None:
@@ -415,20 +411,20 @@ def lag_distribution(observed: np.ndarray) -> np.ndarray:
     of m cells; entry k of the result is (1/m) * sum_t observed[t, (t+k) mod m],
     the joint probability that the reported cell lies k steps past the true
     one; the entries total 1.  Anything but a non-empty square matrix raises
-    DegenerateGeometry, and each row passes ``_check_mass``.  A channel of a
-    float type narrower than float64 has rows that sum to 1 only to its own
-    rounding: they are held to that and divided by their float64 sums.  The
-    gather is a strided view of the channel placed beside itself: row k of
-    the view walks the diagonal t -> t + k, with strides read from the
-    doubled array, so a channel in any memory layout gathers the same cells.
+    DegenerateGeometry, and each row passes ``_check_mass``.  The rows of a
+    float32 or float16 channel, which sum to 1 only to the rounding of their
+    type, are divided by their float64 sums.  The gather is a strided view
+    of the channel placed beside itself: row k of the view walks the
+    diagonal t -> t + k, with strides read from the doubled array, so a
+    channel in any memory layout gathers the same cells.
     """
     import numpy as np
 
-    observed, eps = _float_array(observed, "observed channel")
+    observed = _float_array(observed, "observed channel")
     if observed.ndim != 2 or observed.shape[0] != observed.shape[1] or observed.size == 0:
         raise DegenerateGeometry(f"need a non-empty square channel, got {observed.shape}")
-    sums = _check_mass(observed, "observed channel rows", axis=1, eps=eps)
-    if eps:
+    sums = _check_mass(observed, "observed channel rows", axis=1)
+    if observed.itemsize < 8:
         observed = observed / sums[:, None]
     doubled = np.concatenate((observed, observed), axis=1)
     row, column = doubled.strides
@@ -465,11 +461,12 @@ def gps_objective(observed: np.ndarray, delta: float, d: float, b: float) -> flo
         raise OutOfRange(f"spread {d} is too large: 2*d**2 is not finite")
     if not 0.0 <= b <= 1.0:
         raise BeliefOutOfRange(f"belief must lie in [0, 1], got b={b}")
-    lags, eps = _float_array(observed, "observed channel or lag distribution")
+    lags = _float_array(observed, "observed channel or lag distribution")
     if lags.ndim != 1:
-        lags, eps = lag_distribution(observed), 0.0
+        lags = lag_distribution(lags)
     lags = np.ascontiguousarray(lags)    # the dot product sums in one order
-    total = float(_check_mass(lags, "lag distribution", eps=eps))
+    total = float(_check_mass(lags, "lag distribution"))
+    lags = lags.astype(float, copy=False)    # a float32 or float16 vector, once checked
     m = lags.shape[0]
     truth = b * gaussian_profile(m, delta, d) + (1.0 - b)
     logged = truth

@@ -77,16 +77,17 @@ def test_reproduces_a_hand_built_record():
 class FakeRuns:
     """Stands in for run_once: a fixed op_p50_ms per tree, and a log of the call order."""
 
-    def __init__(self, failed_at=None):
+    def __init__(self, failed_at=None, spans=None):
         self.calls = []
         self.failed_at = failed_at
+        self.spans = spans or {}
 
     def __call__(self, tree, workload, seed, seconds, trace):
         self.calls.append((tree.name, trace))
         failed = int(len(self.calls) == self.failed_at)
         value = 2.0 if tree.name == "parent" else 1.0
         names = (["op_p50_ms", "setup_s", "ops_per_s", "aux_p50_ms"] if not trace
-                 else ["confirmation.doc_from_test_us"])
+                 else self.spans.get(tree.name, ["confirmation.doc_from_test_us"]))
         return {"correct": failed == 0, "attempted": 10, "failed": failed,
                 "metrics": {n: {"value": value + len(self.calls) / 100, "unit": "ms"}
                             for n in names},
@@ -124,6 +125,17 @@ def test_pairs_alternate_and_merge_into_the_record(trees, tmp_path):
     traced = record["per_layer_trace1"]["workloads"]["confirm_2x2"]
     assert traced["metrics"]["confirmation.doc_from_test_us"] == {
         "parent": 2.07, "change": 1.08, "unit": "ms"}
+
+
+def test_traced_metrics_of_only_one_tree_are_kept(trees, tmp_path):
+    out = tmp_path / "BENCH.json"
+    runs = FakeRuns(spans={"parent": ["old_us", "both_us"], "change": ["both_us", "new_us"]})
+    assert bench_pairs.main(_argv(trees, out, "--trace"), run=runs) == 0
+    traced = json.loads(out.read_text())["per_layer_trace1"]["workloads"]["confirm_2x2"]
+    assert traced["metrics"] == {
+        "old_us": {"parent": 2.07, "change": None, "unit": "ms"},
+        "both_us": {"parent": 2.07, "change": 1.08, "unit": "ms"},
+        "new_us": {"parent": None, "change": 1.08, "unit": "ms"}}
 
 
 @pytest.mark.parametrize("failed_at", [3, 8], ids=["paired-run", "traced-run"])

@@ -747,14 +747,6 @@ class TestBeliefGap:
         assert slope == pytest.approx((info(b + h) - info(b - h)) / (2.0 * h),
                                       rel=1e-5, abs=1e-7)
 
-    @settings(max_examples=200, deadline=None)
-    @given(problem=branch_problems())
-    def test_complement_groups_equal_groups_of_the_complement(self, problem):
-        # the grouping pass forms 1 - t itself, with the same keys and mean
-        table, prior, sampling = problem
-        assert (estimation._belief_groups(table, prior, sampling, complement=True)
-                == estimation._belief_groups(branch_table(table, -1), prior, sampling))
-
     @settings(max_examples=300, deadline=None)
     @given(problem=branch_problems())
     def test_root_is_no_worse_than_brent(self, problem):
@@ -1881,12 +1873,27 @@ class TestNarrowFloatChannels:
         assert gps_objective(narrow_lags, *fit) == pytest.approx(exact, abs=1e-6)
         assert lag_distribution(narrow).sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("m", [200, 1024])
+    def test_rows_normalized_in_float32_are_accepted(self, m):
+        # a row sum in float32 rounds by up to ~2 eps, beside eps/2 for a cast
+        narrow = GpsModel(m, 3, 6.0, 0.1 / m).channel_matrix().astype(np.float32)
+        narrow /= narrow.sum(axis=1, keepdims=True, dtype=np.float32)
+        assert lag_distribution(narrow).sum() == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("dtype, off", [(np.float64, 2e-9), (np.float32, 1e-5),
                                             (np.float16, 0.05)])
     def test_sums_beyond_the_rounding_of_their_type_are_refused(self, dtype, off):
-        # 32 masses a row: float32 allows 32*eps = 3.8e-6, float16 0.031
+        # float32 allows 4 eps = 4.8e-7 off 1, float16 4 eps = 0.0039
         channel = (_GOOD_CHANNEL * (1.0 + off)).astype(dtype)
         lags = (_GOOD_LAGS * (1.0 + off)).astype(dtype)
+        for call in (lambda: gps_fit(channel), lambda: gps_objective(lags, 0.0, 3.0, 0.9)):
+            with pytest.raises(NotNormalized):
+                call()
+
+    def test_the_bound_does_not_grow_with_the_row(self):
+        # 1024 float16 masses of 2**-11: every row, and the lags, sum to 0.5
+        channel = np.full((1024, 1024), 0.5 / 1024, dtype=np.float16)
+        lags = np.full(1024, 0.5 / 1024, dtype=np.float16)
         for call in (lambda: gps_fit(channel), lambda: gps_objective(lags, 0.0, 3.0, 0.9)):
             with pytest.raises(NotNormalized):
                 call()

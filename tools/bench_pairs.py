@@ -160,12 +160,17 @@ def workload_record(parent_runs, change_runs, spec: dict, seed: int) -> dict:
 
 
 def trace_record(parent_run: dict, change_run: dict) -> dict:
+    """Both traced runs side by side; a metric only one tree reports reads None in the other."""
+    before, after = parent_run["metrics"], change_run["metrics"]
+    metrics = {}
+    for name in {**before, **after}:
+        value = {tree: run[name]["value"] if name in run else None
+                 for tree, run in (("parent", before), ("change", after))}
+        metrics[name] = {**value, "unit": (after.get(name) or before[name])["unit"]}
     return {
         "parent_correct": parent_run["correct"], "change_correct": change_run["correct"],
         "parent_failed_ops": parent_run["failed"], "change_failed_ops": change_run["failed"],
-        "metrics": {name: {"parent": parent_run["metrics"][name]["value"], "change": value["value"],
-                           "unit": value["unit"]}
-                    for name, value in change_run["metrics"].items()},
+        "metrics": metrics,
     }
 
 
