@@ -23,7 +23,11 @@ the labels with q > 0 carry at most two truth values -- every crisp base,
 every two-letter problem -- the root is closed form (``_two_group_root``);
 for a crisp base it is the abstract's 1 - (Q0/Q1)/(P0/P1).  With three or
 more, ``_concave_root`` finds the root by a bracketed Newton iteration,
-each evaluation of k one plain loop over the groups.  ``gps_fit`` takes
+each evaluation of k one plain loop over the groups.  It starts at the
+closed-form root of the two-group model that matches the moments 0-3 of
+the truth values under Q (``_moment_start``), which halves the
+evaluations of a start at b = 1, where a truth value near 0 puts a pole
+of k just past the end.  ``gps_fit`` takes
 Newton steps on its shift, spread and belief at once, with the analytic
 gradient and Hessian of its objective (``_gps_newton_terms``).
 
@@ -112,14 +116,17 @@ def optimal_truth_function(channel: Channel, j: int) -> TruthFunction:
     return Tabular(channel.alphabet, tuple(v / peak for v in row))
 
 
-def _concave_root(k) -> float:
+def _concave_root(k, start: float) -> float:
     """Maximize a unimodal f on [0, 1] as the root of its k.
 
     k(b) returns (k, k') for a function that is concave on the branch with
     k(0) = 0, at least 0 from b = 0 up to the maximizer of f and below 0
     past it; or None where a truth value is 0, which counts as past it.  The
-    search starts at b = 1.  If k(1) >= 0, f still rises into the end: 1 is
-    returned, and no search runs.
+    search starts at ``start`` in (0, 1].  Whenever k(1) >= 0, f still rises
+    into the end and 1 is returned: the end is evaluated before any result
+    below 1 unless k has already read below 0 at a point below 1, which by
+    concavity puts the root below that point.  From a start at 1 that
+    evaluation is the first, and no search runs when k(1) >= 0.
 
     Otherwise each step is a Newton step on k(b)/b, the slope of the chord
     of k from 0, which has the same root on (0, 1].  Near b = 0, k is
@@ -129,7 +136,8 @@ def _concave_root(k) -> float:
     bracket formed by the last point seen on each side of the root (b = 0
     and b = 1 to begin with).  A step bisects the bracket instead when the
     Newton point leaves it or is undefined, or when the steps stop halving
-    (the safeguard of Brent's method).
+    (the safeguard of Brent's method); while the end is not yet evaluated,
+    such a step goes to the end instead.
 
     The search stops once the bracket is at most ``ROOT_TOL`` times the
     distance from its far side to b = 1: f changes on the scale of that
@@ -139,14 +147,16 @@ def _concave_root(k) -> float:
     that width, so a small Newton step alone does not end the search: near
     b = 0 the difference H - LP has lost most of its digits.  Returns the
     Newton point of the last evaluation when it lies strictly inside the
-    final bracket, else the last point evaluated.
+    final bracket, else the last point evaluated, or the near side when
+    that point was the end and had a truth value of 0.
     """
-    near, far, x = 0.0, 1.0, 1.0
+    near, far, x = 0.0, 1.0, start
+    end = start < 1.0      # k(1) not yet evaluated, and not ruled out by a point below 0
     step = previous = math.inf
     while True:
         value = k(x)
         if value is None or value[0] < 0.0:
-            far = x
+            far, end = x, False
         elif x == 1.0:
             return 1.0
         else:
@@ -156,15 +166,17 @@ def _concave_root(k) -> float:
         if value is not None and value[1] * x != value[0]:
             newton = -value[0] * x / (value[1] * x - value[0])
         width = ROOT_TOL * (1.0 - far)
-        if far - near <= width or not near < mid < far:
-            return x + newton if near < x + newton < far else x
+        if not end and (far - near <= width or not near < mid < far):
+            if near < x + newton < far:
+                return x + newton
+            return near if value is None else x     # never the end where a truth value is 0
         if abs(newton) < width / 4.0:
             newton = math.copysign(width / 4.0, newton)
         if near < x + newton < far and abs(newton) < 0.5 * abs(previous):
-            previous, step = step, newton
+            target = x + newton
         else:
-            previous, step = step, mid - x
-        x += step
+            target = 1.0 if end else mid
+        previous, step, x = step, target - x, target
 
 
 def _belief_groups(table: tuple[float, ...], prior: Distribution, sampling: Distribution):
@@ -214,6 +226,43 @@ def _two_group_root(groups, kept: float, mean: float) -> float:
     return 1.0
 
 
+def _moment_start(groups, kept: float, mean: float) -> float:
+    """Where ``_concave_root`` starts: the root of a two-group model of the groups.
+
+    The model is the two-point Gauss rule of the truth values under Q: the
+    two nodes and weights that match the moments 0-3 of t (Golub and
+    Welsch, Math. Comp. 23, 1969).  One loop sums them about the first
+    group's truth value, which keeps the digits of a narrow spread.  With
+    mean mu, variance v and third central moment s, the nodes are mu + y
+    for the two roots y of y**2 - (s/v)*y - v, clipped to [0, 1], each
+    weighted by the other's distance over their gap.  ``_two_group_root``
+    solves the model.  The start is 1 when the model gives no root inside
+    (0, 1) short of the float below 1, or when v does not come out positive.
+    """
+    origin = groups[0][0]
+    m1 = m2 = m3 = 0.0
+    for t, q in groups:
+        d = t - origin
+        qd = q * d
+        m1 += qd
+        m2 += qd * d
+        m3 += qd * d * d
+    mu, m2, m3 = m1 / kept, m2 / kept, m3 / kept
+    variance = m2 - mu * mu
+    if not variance > 0.0:
+        return 1.0
+    skew = (m3 - 3.0 * mu * variance - mu * mu * mu) / variance
+    gap = math.sqrt(skew * skew + 4.0 * variance)
+    # the root of larger size first; the other is -v over it, with no cancellation
+    y0 = 0.5 * (skew + math.copysign(gap, skew))
+    y1 = -variance / y0
+    centre = origin + mu
+    model = ((min(max(centre + y0, 0.0), 1.0), kept * abs(y1) / gap),
+             (min(max(centre + y1, 0.0), 1.0), kept * abs(y0) / gap))
+    c = _two_group_root(model, kept, mean)
+    return c if 0.0 < c < math.nextafter(1.0, 0.0) else 1.0
+
+
 def _belief_gap(groups, kept: float, mean: float):
     """k(b) = H(b) - LP(b) and its slope on [0, 1], for ``_concave_root``.
 
@@ -256,8 +305,9 @@ def optimize_belief(base_tf: TruthFunction, prior: Distribution,
     once (``_belief_groups``).  The maximizer on a branch is the root of
     k = H - LP (see the module docstring): closed form for at most two
     truth values where q > 0 (``_two_group_root``, on the branch's own
-    groups), else found by ``_concave_root`` from the end of the branch,
-    each of its steps one loop over the groups.
+    groups), else found by ``_concave_root`` from the root of a
+    moment-matched two-group model (``_moment_start``), each of its steps
+    one loop over the groups.
 
     Branch rule: both one-sided slopes at b = 0 equal
     (E_Q[t] - E_P[t]) / ln 2 for the base truth vector t, sampling Q and
@@ -299,7 +349,8 @@ def optimize_belief(base_tf: TruthFunction, prior: Distribution,
         # two truth values where q > 0 rule out a constant base without a scan
         if len(groups) > 1 or min(table) != max(table):
             if len(groups) > 2:
-                c = _concave_root(_belief_gap(groups, kept, mean))
+                c = _concave_root(_belief_gap(groups, kept, mean),
+                                  _moment_start(groups, kept, mean))
             else:
                 c = _two_group_root(groups, kept, mean)
             b_star = math.copysign(c, slope)

@@ -146,6 +146,25 @@ def test_a_run_with_failed_ops_exits_non_zero(trees, tmp_path, failed_at):
     assert record["workloads"]["confirm_2x2"]["all_correct"] is (failed_at == 8)
 
 
+def test_compiled_from_source_is_read_per_tree_before_the_runs(trees, tmp_path):
+    parent, change = trees
+    (parent / "src" / "semcal").mkdir(parents=True)
+    (change / "src" / "semcal" / "__pycache__").mkdir(parents=True)
+
+    class Compiling(FakeRuns):
+        # a run that leaves bytecode behind must not change what was recorded
+        def __call__(self, tree, *args):
+            (tree / "src" / "semcal" / "__pycache__").mkdir(exist_ok=True)
+            return super().__call__(tree, *args)
+
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(_argv(trees, out), run=Compiling()) == 0
+    workload = json.loads(out.read_text())["workloads"]["confirm_2x2"]
+    assert workload["compiled_from_source"] == {"parent": True, "change": False}
+    assert bench_pairs.compiled_from_source(parent) is False
+    assert bench_pairs.compiled_from_source(tmp_path / "no-such-tree") is True
+
+
 def test_unknown_claim_metric_is_refused(trees, tmp_path):
     runs = FakeRuns()
     assert bench_pairs.main(_argv(trees, tmp_path / "BENCH.json", "--claim", "nope"),

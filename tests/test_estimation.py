@@ -211,6 +211,7 @@ class TestOptimizeBelief:
         evaluations = count_search_evaluations(monkeypatch)
         rng = random.Random(31)
         ab = Alphabet([f"x{i}" for i in range(n)])
+        counts = []
         for _ in range(5):
             prior = Distribution(ab, normalized([rng.uniform(0.01, 1.0) for _ in range(n)]))
             sampling = Distribution(ab, normalized([rng.uniform(0.01, 1.0) for _ in range(n)]))
@@ -222,6 +223,9 @@ class TestOptimizeBelief:
             optimize_belief(Tabular(ab, [rng.uniform(0.0, 1.0) for _ in range(n)]),
                             prior, sampling)
             assert 0 < len(evaluations) <= 20
+            counts.append(len(evaluations))
+        # from the moment-matched start (from b = 1 these took 8.4 and 9.4 on average)
+        assert sum(counts) / len(counts) <= 7.0
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_two_group_solve_runs_no_search(self, monkeypatch, sign):
@@ -756,7 +760,8 @@ class TestBeliefGap:
         assume(slope != 0.0)
         branch = branch_table(table, slope)
         groups = estimation._belief_groups(branch, prior, sampling)
-        root = estimation._concave_root(estimation._belief_gap(*groups))
+        root = estimation._concave_root(estimation._belief_gap(*groups),
+                                        estimation._moment_start(*groups))
         tf = Tabular(prior.alphabet, branch)
 
         def f(x):
@@ -843,8 +848,21 @@ def exact_root(groups, mean):
         lo, hi = (mid, hi) if sign > 0 else (lo, mid)
 
 
+def belief_root(groups, mean):
+    """The root of k on a branch's groups, as ``optimize_belief`` finds it.
+
+    Closed form for at most two groups, else the search from the start of
+    ``_moment_start``.
+    """
+    kept = math.fsum(q for _, q in groups)
+    if len(groups) <= 2:
+        return estimation._two_group_root(groups, kept, mean)
+    return estimation._concave_root(estimation._belief_gap(groups, kept, mean),
+                                    estimation._moment_start(groups, kept, mean))
+
+
 class TestTwoGroupRoot:
-    """The closed-form root against ``_concave_root`` on the same groups."""
+    """The closed-form root against ``_concave_root`` and ``exact_root`` on the same groups."""
 
     @settings(max_examples=500, deadline=None)
     @given(problem=two_group_problems())
@@ -855,7 +873,7 @@ class TestTwoGroupRoot:
     def test_matches_root_search(self, problem):
         groups, kept, mean = problem
         closed = estimation._two_group_root(groups, kept, mean)
-        searched = estimation._concave_root(estimation._belief_gap(groups, kept, mean))
+        searched = estimation._concave_root(estimation._belief_gap(groups, kept, mean), 1.0)
         assert 0.0 <= closed <= 1.0
         assert closed == pytest.approx(searched, rel=0.0, abs=2 * estimation.ROOT_TOL)
 
@@ -869,13 +887,67 @@ class TestTwoGroupRoot:
         (((1.0, 0.6), (0.3, 0.4)), 1.0 / (0.6 + 0.4 / 0.3)),  # already optimal: the end
         (((0.6, 1.0),), 0.4),                               # one group: the end
         (((0.0, 1e-17), (1.0, 1.0)), 0.5),                  # root < 1 ulp below 1
+        # three groups, searched: the complement branch of the base (0, 5e-9,
+        # 1e-8) under prior (0.093, 0.558, 0.349) and sampling (0.126, 0.519,
+        # 0.355), so b* = -1.  k(1) > 0 and the root is the end: a search
+        # started at the float below 1 must still evaluate the end
+        (((1.0, 0.126), (0.999999995, 0.519), (0.99999999, 0.355)), 0.99999999372),
     ])
     def test_matches_exact_root(self, groups, mean):
-        closed = estimation._two_group_root(groups, math.fsum(q for _, q in groups), mean)
+        closed = belief_root(groups, mean)
         exact = exact_root(groups, mean)
         assert 0.0 < closed <= 1.0
         assert (closed < 1.0) == (exact < 1.0)
         assert closed == pytest.approx(exact, rel=0.0, abs=1e-15)
+
+
+@st.composite
+def many_group_problems(draw):
+    """(groups, kept, mean) of a rising branch with three to eight truth values.
+
+    Drawn as ``two_group_problems`` draws two, under the same assumption of
+    a slope at b = 0 that is not tiny: truth values 0, 1 or between, a kept
+    mass that may be below 1, and a prior mean near the sampling mean as
+    well; a small share on a low truth value puts the root near 1.
+    """
+    truth = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+    values = draw(st.lists(truth, min_size=3, max_size=8, unique=True))
+    kept = draw(st.one_of(st.just(1.0), st.floats(0.5, 1.0)))
+    shares = draw(st.lists(st.floats(1e-9, 1.0), min_size=len(values), max_size=len(values)))
+    total = math.fsum(shares)
+    groups = tuple((t, kept * share / total) for t, share in zip(values, shares))
+    sampling_mean = math.fsum(q * t for t, q in groups) / kept
+    mean = draw(st.one_of(st.floats(0.0, 1.0),
+                          st.floats(-1e-4, 0.0).map(lambda x: max(0.0, sampling_mean + x))))
+    assume(sum(Fraction(q) * (Fraction(t) - Fraction(mean)) for t, q in groups) > 1e-6)
+    return groups, math.fsum(q for _, q in groups), mean
+
+
+class TestMomentStart:
+    """The search from the two-point model's root against ``exact_root``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(problem=many_group_problems())
+    def test_search_matches_exact_root(self, problem):
+        groups, kept, mean = problem
+        assert 0.0 < estimation._moment_start(groups, kept, mean) <= 1.0
+        searched = belief_root(groups, mean)
+        exact = exact_root(groups, mean)
+        if exact == 1.0:
+            assert searched == 1.0
+        assert searched == pytest.approx(exact, rel=0.0, abs=2 * estimation.ROOT_TOL)
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=many_group_problems(),
+           start=st.one_of(st.just(math.nextafter(1.0, 0.0)), st.floats(1e-3, 1.0)))
+    def test_any_start_keeps_the_end(self, problem, start):
+        # the end is evaluated before a root below 1 is returned, from any
+        # start: one at the float below 1 as well
+        groups, kept, mean = problem
+        searched = estimation._concave_root(estimation._belief_gap(groups, kept, mean), start)
+        exact = exact_root(groups, mean)
+        assert (searched == 1.0) == (exact == 1.0)
+        assert searched == pytest.approx(exact, rel=0.0, abs=2 * estimation.ROOT_TOL)
 
 
 def traced(f):

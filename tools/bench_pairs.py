@@ -9,7 +9,10 @@ Usage (the trees are two checkouts of semcal, each with its own perfbench/):
 Each run is ``python3 perfbench/run.py --workload W --seed S --seconds T`` in
 the tree itself, so each tree measures its own src/ with its own harness,
 with ``PYTHONDONTWRITEBYTECODE=1`` so that no run leaves bytecode for the
-next.  Pairs alternate which tree runs first: the parent on odd pairs, the
+next.  Each workload's ``compiled_from_source`` records, per tree, that no
+``__pycache__`` lay under its src/ before the runs: bytecode left there by
+an earlier run or test would skip the compile that a fresh checkout pays.
+Pairs alternate which tree runs first: the parent on odd pairs, the
 change on even ones.  Per end-to-end metric of the change tree's
 BENCHMARK.json the record keeps each tree's median and inclusive quartiles
 over the pairs, the change's wins (pairs where it reads better; ties count
@@ -140,6 +143,11 @@ def pair_runs(parent: Path, change: Path, workload: str, pairs: int, seed: int,
     return parent_runs, change_runs
 
 
+def compiled_from_source(tree: Path) -> bool:
+    """Whether no ``__pycache__`` lies under the tree's src/, so that its runs compile semcal."""
+    return not any((tree / "src").rglob("__pycache__"))
+
+
 def workload_record(parent_runs, change_runs, spec: dict, seed: int) -> dict:
     metrics = {}
     for m in spec["end_to_end"]:
@@ -197,9 +205,12 @@ def main(argv=None, run=run_once) -> int:
     if args.claim and args.claim not in {m["name"] for m in spec["end_to_end"]}:
         print(f"bench_pairs: {args.claim!r} is not an end-to-end metric", file=sys.stderr)
         return 2
+    compiled = {"parent": compiled_from_source(args.parent),
+                "change": compiled_from_source(args.change)}
     parent_runs, change_runs = pair_runs(args.parent, args.change, args.workload, args.pairs,
                                          args.seed, args.seconds, run)
     workload = workload_record(parent_runs, change_runs, spec, args.seed)
+    workload["compiled_from_source"] = compiled
     clean = workload["all_correct"]
 
     record = json.loads(args.out.read_text()) if args.out and args.out.exists() else {}
