@@ -148,7 +148,7 @@ def _concave_root(k, start: float) -> float:
     b = 0 the difference H - LP has lost most of its digits.  Returns the
     Newton point of the last evaluation when it lies strictly inside the
     final bracket, else the last point evaluated, or the near side when
-    that point was the end and had a truth value of 0.
+    that point was the end (where k < 0 or a truth value is 0).
     """
     near, far, x = 0.0, 1.0, start
     end = start < 1.0      # k(1) not yet evaluated, and not ruled out by a point below 0
@@ -169,7 +169,7 @@ def _concave_root(k, start: float) -> float:
         if not end and (far - near <= width or not near < mid < far):
             if near < x + newton < far:
                 return x + newton
-            return near if value is None else x     # never the end where a truth value is 0
+            return near if x == 1.0 else x     # never the end, where k < 0 or a truth value is 0
         if abs(newton) < width / 4.0:
             newton = math.copysign(width / 4.0, newton)
         if near < x + newton < far and abs(newton) < 0.5 * abs(previous):

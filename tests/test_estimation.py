@@ -940,6 +940,11 @@ class TestMomentStart:
     @settings(max_examples=200, deadline=None)
     @given(problem=many_group_problems(),
            start=st.one_of(st.just(math.nextafter(1.0, 0.0)), st.floats(1e-3, 1.0)))
+    # the root lies between the float below 1 and 1, where k < 0: the
+    # search ends on the end as the far side and returns the near side
+    @example(problem=(((1.0, 0.49999999975), (0.5, 0.49999999975),
+                       (1.3586790189257224e-270, 4.9999999975e-10)), 1.0, 1e-09),
+             start=math.nextafter(1.0, 0.0))
     def test_any_start_keeps_the_end(self, problem, start):
         # the end is evaluated before a root below 1 is returned, from any
         # start: one at the float below 1 as well
