@@ -21,9 +21,9 @@ _EXPORTS = {
                       "pointwise_info"),
     "estimation": ("channel_from_samples", "empirical_conditional", "gps_fit", "gps_objective",
                    "lag_distribution", "optimal_truth_function", "optimize_belief"),
-    "estimation_types": ("Channel", "GpsModel", "SampleSet"),
-    "semantic_info": ("average_semantic_info", "gkl_decomposition", "pointwise_semantic_info",
-                      "semantic_mutual_info"),
+    "estimation_types": ("GpsModel", "SampleSet"),
+    "semantic_info": ("Channel", "average_semantic_info", "gkl_decomposition",
+                      "pointwise_semantic_info", "semantic_mutual_info"),
     "truth_functions": ("BeliefAdjusted", "Crisp", "Gaussian", "Tabular", "TruthFunction",
                         "belief_adjust", "contradiction", "logical_probability", "negate",
                         "semantic_bayes", "tautology"),

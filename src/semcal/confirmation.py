@@ -27,7 +27,8 @@ from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
 from .distributions import (Frozen, _bayes_masses, _kl_bits, _normalized, require_count,
-                            require_finite, require_masses, require_unit_interval)
+                            require_finite, require_masses, require_type,
+                            require_unit_interval)
 from .errors import (
     DegenerateGeometry,
     DegenerateInput,
@@ -36,7 +37,6 @@ from .errors import (
     EmptyRow,
     IndexMismatch,
     NegativeMass,
-    OutOfRange,
     UnknownKind,
     ZeroDenominator,
     ZeroSensitivity,
@@ -135,8 +135,7 @@ def doc_from_rates(spec: RateSpec, hypothesis: str = "affirmative") -> DocResult
     whose belief is the sign-flipped one (excessive negation mirrors proper
     affirmation and vice versa).
     """
-    if not isinstance(spec, RateSpec):
-        raise OutOfRange(f"expected a RateSpec, got {spec!r}")
+    require_type("spec", spec, RateSpec)
     if hypothesis not in ("affirmative", "denial"):
         raise UnknownKind(f"unknown hypothesis kind {hypothesis!r}")
     b, b_prime, case, bits = _doc_from_masses(spec.prior, spec.posterior)
@@ -178,14 +177,9 @@ def _doc_from_counts(n11, n10, n01, n00) -> tuple:
     return _doc_from_masses(((n10 + n00) / n, (n11 + n01) / n), (n10 / row, n11 / row))
 
 
-def _require_table(t) -> None:
-    if not isinstance(t, ContingencyTable):
-        raise OutOfRange(f"expected a ContingencyTable, got {t!r}")
-
-
 def doc_h1_from_table(t: ContingencyTable) -> DocResult:
     """Degree of confirmation of s1 -> s2 from 2x2 counts."""
-    _require_table(t)
+    require_type("table", t, ContingencyTable)
     return DocResult(*_doc_from_counts(t.n11, t.n10, t.n01, t.n00))
 
 
@@ -196,7 +190,7 @@ def doc_h2_from_table(t: ContingencyTable) -> DocResult:
     the equivalence condition because the two inferences trade the same
     counterexamples against different positive examples.
     """
-    _require_table(t)
+    require_type("table", t, ContingencyTable)
     return DocResult(*_doc_from_counts(t.n00, t.n10, t.n01, t.n11))
 
 
@@ -277,7 +271,7 @@ def raven_increments(t: ContingencyTable) -> tuple[float, float]:
     enters as a ratio to a count or to the other sum, so the results keep
     their scale.  A derivative beyond float range raises DegenerateInput.
     """
-    _require_table(t)
+    require_type("table", t, ContingencyTable)
     if t.n11 <= 0:
         raise EmptyRow("derivatives need n11 > 0")
     counter, positive = t.n00 + t.n10, t.n01 + t.n11

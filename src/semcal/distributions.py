@@ -3,6 +3,13 @@
 All information quantities are in bits (log base 2).  Negative infinity is a
 first-class value: an impossible posterior yields ``-inf``, never an exception.
 The convention 0*log2(0/p) = 0 is used throughout.
+
+The argument gates of the whole package live here: ``require_finite``,
+``require_unit_interval`` and ``require_count`` for numbers, and
+``require_type`` for objects.  A wrong-type object (text where an
+``Alphabet``, a ``Distribution`` or a truth function belongs) raises
+OutOfRange where it enters: in the constructor that stores it or in the
+function that takes it, not as an AttributeError further down.
 """
 
 from __future__ import annotations
@@ -59,6 +66,13 @@ def require_count(what: str, value) -> int:
         except TypeError:
             pass
     raise OutOfRange(f"{what} must be an integer, got {value!r}")
+
+
+def require_type(what: str, value, kind: type):
+    """``value`` if it is an instance of ``kind``, else OutOfRange: the one wrong-type gate."""
+    if isinstance(value, kind):
+        return value
+    raise OutOfRange(f"{what} must be a {kind.__name__}, got {value!r}")
 
 
 def require_masses(what: str, values) -> float:
@@ -184,6 +198,7 @@ class Distribution(Frozen):
     probs: tuple[float, ...]
 
     def __init__(self, alphabet: Alphabet, probs: Sequence[float]):
+        require_type("alphabet", alphabet, Alphabet)
         probs = tuple(probs)
         if len(probs) != len(alphabet):
             raise AlphabetMismatch(
@@ -208,20 +223,16 @@ def pointwise_info(posterior_prob: float, prior_prob: float) -> float:
 
 
 def _require_same_alphabet(a, b) -> None:
-    """AlphabetMismatch unless a and b share an alphabet; OutOfRange if one has none."""
-    try:
-        same = a.alphabet.labels == b.alphabet.labels
-    except AttributeError:
-        raise OutOfRange(f"expected a Distribution or Channel, got {a!r} and {b!r}") from None
-    if not same:
+    """AlphabetMismatch unless a and b, Distributions or Channels, share an alphabet."""
+    if a.alphabet.labels != b.alphabet.labels:
         raise AlphabetMismatch(
             f"alphabets differ: {a.alphabet.labels} vs {b.alphabet.labels}")
 
 
 def _require_distributions(q, p) -> None:
     """OutOfRange unless q and p are Distributions; AlphabetMismatch if their alphabets differ."""
-    if not (isinstance(q, Distribution) and isinstance(p, Distribution)):
-        raise OutOfRange(f"expected two Distributions, got {q!r} and {p!r}")
+    require_type("first distribution", q, Distribution)
+    require_type("second distribution", p, Distribution)
     _require_same_alphabet(q, p)
 
 
@@ -253,8 +264,7 @@ def kl_divergence(q: Distribution, p: Distribution) -> float:
 
 def bayes_invert(prior: Distribution, channel_row: Sequence[float]) -> Distribution:
     """Posterior P(E|h) from prior P(E) and a selecting-rule row P(h|E)."""
-    if not isinstance(prior, Distribution):
-        raise OutOfRange(f"prior must be a Distribution, got {prior!r}")
+    require_type("prior", prior, Distribution)
     row = tuple(channel_row)
     if len(row) != len(prior.alphabet):
         raise AlphabetMismatch(

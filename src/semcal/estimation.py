@@ -51,6 +51,7 @@ from .distributions import (
     _require_distributions,
     require_count,
     require_finite,
+    require_type,
 )
 from .errors import (
     BeliefOutOfRange,
@@ -64,8 +65,8 @@ from .errors import (
     ZeroPrior,
     ZeroRow,
 )
-from .estimation_types import Channel, SampleSet, _real, gaussian_profile, toroidal_offset
-from .semantic_info import average_semantic_info
+from .estimation_types import SampleSet, _real, gaussian_profile, toroidal_offset
+from .semantic_info import Channel, average_semantic_info
 from .truth_functions import Tabular, TruthFunction, belief_adjust
 
 if TYPE_CHECKING:
@@ -89,8 +90,7 @@ TIE_BITS = 1e-12
 
 def empirical_conditional(samples: SampleSet, condition_subset) -> Distribution:
     """Relative evidence frequencies among records whose tag is in the subset."""
-    if not isinstance(samples, SampleSet):
-        raise OutOfRange(f"expected a SampleSet, got {samples!r}")
+    require_type("samples", samples, SampleSet)
     subset = {str(c) for c in condition_subset}
     counts = Counter(label for condition, label in samples.records if condition in subset)
     matched = sum(counts.values())
@@ -107,6 +107,7 @@ def optimal_truth_function(channel: Channel, j: int) -> TruthFunction:
     truth function the semantic Bayes prediction reproduces P(E|h_j) and the
     average semantic information attains its KL upper bound.
     """
+    require_type("channel", channel, Channel)
     if not 0 <= require_count("hypothesis index", j) < len(channel.hypotheses):
         raise OutOfRange(f"hypothesis index {j} is not below {len(channel.hypotheses)}")
     row = channel.row(j)
@@ -333,10 +334,9 @@ def optimize_belief(base_tf: TruthFunction, prior: Distribution,
     _require_distributions(prior, sampling)
     if isinstance(base_tf, Tabular) and base_tf.alphabet.labels == prior.alphabet.labels:
         base = base_tf
-    elif isinstance(base_tf, TruthFunction):
-        base = Tabular(prior.alphabet, base_tf.values(prior.alphabet))
     else:
-        raise OutOfRange(f"base must be a TruthFunction, got {base_tf!r}")
+        require_type("base", base_tf, TruthFunction)
+        base = Tabular(prior.alphabet, base_tf.values(prior.alphabet))
     table = base.values(prior.alphabet)
     if max(table) <= 0:
         raise DegenerateInput("base truth function is identically zero")
@@ -376,8 +376,7 @@ def channel_from_samples(samples: SampleSet) -> tuple[Channel, Distribution]:
     A label of the alphabet with no record leaves P(h|e) = 0/0 undefined
     and raises ZeroPrior.
     """
-    if not isinstance(samples, SampleSet):
-        raise OutOfRange(f"expected a SampleSet, got {samples!r}")
+    require_type("samples", samples, SampleSet)
     pairs = Counter(samples.records)
     if not pairs:
         raise EmptyConditionSubset("sample set has no records")

@@ -1,11 +1,13 @@
 """Data types of the estimation layer.
 
-``Channel`` (a Shannon channel P(H|E)), ``SampleSet`` (tagged evidence
-records), ``GpsModel`` (the discretized position-estimator deviation model)
-and the ``toroidal_offset`` wrap and ``gaussian_profile`` they share with
-``estimation``, which holds the operations on them.  numpy is imported
-inside the functions that use it, not at module load: it is the bulk of
-``import semcal``, and only the position model needs it.
+``SampleSet`` (tagged evidence records), ``GpsModel`` (the discretized
+position-estimator deviation model) and the ``toroidal_offset`` wrap and
+``gaussian_profile`` they share with ``estimation``, which holds the
+operations on them.  ``Channel`` lives in ``semantic_info``, beside the
+measure that takes it.  A wrong-type alphabet raises OutOfRange from
+``distributions.require_type``, and a wrong-type number from ``_real``.
+numpy is imported inside the functions that use it, not at module load: it
+is the bulk of ``import semcal``, and only the position model needs it.
 """
 
 from __future__ import annotations
@@ -13,67 +15,11 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Sequence
 
-from .distributions import (NORMALIZATION_TOLERANCE, Alphabet, Frozen, require_count,
-                            require_finite, require_unit_interval)
-from .errors import (
-    DegenerateGeometry,
-    DuplicateLabel,
-    GridTooCoarse,
-    IndexMismatch,
-    NegativeMass,
-    NotNormalized,
-    OutOfRange,
-    UnknownLabel,
-)
+from .distributions import Alphabet, Frozen, require_count, require_finite, require_type
+from .errors import DegenerateGeometry, GridTooCoarse, NegativeMass, OutOfRange, UnknownLabel
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-class Channel(Frozen):
-    """A Shannon channel P(H|E): one selecting-rule row per hypothesis.
-
-    ``matrix[j][i]`` is P(h_j | e_i).  For each fixed evidence letter the
-    column over hypotheses sums to 1 within ``NORMALIZATION_TOLERANCE``;
-    an individual row need not.
-    """
-
-    alphabet: Alphabet
-    hypotheses: tuple[str, ...]
-    matrix: tuple[tuple[float, ...], ...]
-
-    def __init__(self, alphabet: Alphabet, hypotheses: Sequence[str],
-                 matrix: Sequence[Sequence[float]]):
-        hypotheses = tuple(str(h) for h in hypotheses)
-        if len(set(hypotheses)) != len(hypotheses):
-            raise DuplicateLabel(f"duplicate hypothesis names: {hypotheses}")
-        rows = tuple(map(tuple, matrix))
-        if len(rows) != len(hypotheses):
-            raise IndexMismatch(
-                f"{len(rows)} rows for {len(hypotheses)} hypotheses")
-        for row in rows:
-            if len(row) != len(alphabet):
-                raise IndexMismatch(
-                    f"row length {len(row)} != alphabet size {len(alphabet)}")
-            require_unit_interval("channel values", row)
-        rows = tuple([tuple(map(float, row)) for row in rows])
-        for i in range(len(alphabet)):
-            col = math.fsum(row[i] for row in rows)
-            if abs(col - 1.0) > NORMALIZATION_TOLERANCE:
-                raise NotNormalized(
-                    f"column for {alphabet.labels[i]!r} sums to {col}, not 1")
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "hypotheses", hypotheses)
-        object.__setattr__(self, "matrix", rows)
-
-    def row(self, j: int) -> tuple[float, ...]:
-        return self.matrix[j]
-
-    def hypothesis_index(self, name: str) -> int:
-        try:
-            return self.hypotheses.index(name)
-        except ValueError:
-            raise UnknownLabel(f"unknown hypothesis {name!r}") from None
 
 
 class SampleSet(Frozen):
@@ -83,6 +29,7 @@ class SampleSet(Frozen):
     records: tuple[tuple[str, str], ...]
 
     def __init__(self, alphabet: Alphabet, records: Sequence[tuple[str, str]]):
+        require_type("alphabet", alphabet, Alphabet)
         records = tuple((str(c), str(e)) for c, e in records)
         for _, e in records:
             if e not in alphabet:

@@ -9,20 +9,72 @@ therefore bounded above by the plain KL information.
 Falsification semantics: a single counterexample (sampling mass on a point
 of zero truth value) drives the average to -inf.  A contradiction (truth
 value identically zero) carries zero information by the 0/0 convention.
+
+``Channel``, the Shannon channel P(H|E) that ``semantic_mutual_info``
+averages over, is defined here, so that this measure type-checks its
+channel with ``distributions.require_type`` like every other object
+argument; ``estimation`` builds channels from samples and reads truth
+functions off them.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from typing import Sequence
 
-from .distributions import (Distribution, _require_distributions, _require_same_alphabet,
-                            bayes_invert, kl_divergence)
-from .errors import AbsoluteContinuityViolated, IndexMismatch, OutOfRange
+from .distributions import (NORMALIZATION_TOLERANCE, Alphabet, Distribution, Frozen,
+                            _require_distributions, _require_same_alphabet, bayes_invert,
+                            kl_divergence, require_type, require_unit_interval)
+from .errors import (AbsoluteContinuityViolated, DuplicateLabel, IndexMismatch, NotNormalized,
+                     UnknownLabel)
 from .truth_functions import TruthFunction, semantic_bayes, truth_and_logical_probability
 
-if TYPE_CHECKING:
-    from .estimation_types import Channel
+
+class Channel(Frozen):
+    """A Shannon channel P(H|E): one selecting-rule row per hypothesis.
+
+    ``matrix[j][i]`` is P(h_j | e_i).  For each fixed evidence letter the
+    column over hypotheses sums to 1 within ``NORMALIZATION_TOLERANCE``;
+    an individual row need not.
+    """
+
+    alphabet: Alphabet
+    hypotheses: tuple[str, ...]
+    matrix: tuple[tuple[float, ...], ...]
+
+    def __init__(self, alphabet: Alphabet, hypotheses: Sequence[str],
+                 matrix: Sequence[Sequence[float]]):
+        require_type("alphabet", alphabet, Alphabet)
+        hypotheses = tuple(str(h) for h in hypotheses)
+        if len(set(hypotheses)) != len(hypotheses):
+            raise DuplicateLabel(f"duplicate hypothesis names: {hypotheses}")
+        rows = tuple(map(tuple, matrix))
+        if len(rows) != len(hypotheses):
+            raise IndexMismatch(
+                f"{len(rows)} rows for {len(hypotheses)} hypotheses")
+        for row in rows:
+            if len(row) != len(alphabet):
+                raise IndexMismatch(
+                    f"row length {len(row)} != alphabet size {len(alphabet)}")
+            require_unit_interval("channel values", row)
+        rows = tuple([tuple(map(float, row)) for row in rows])
+        for i in range(len(alphabet)):
+            col = math.fsum(row[i] for row in rows)
+            if abs(col - 1.0) > NORMALIZATION_TOLERANCE:
+                raise NotNormalized(
+                    f"column for {alphabet.labels[i]!r} sums to {col}, not 1")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "hypotheses", hypotheses)
+        object.__setattr__(self, "matrix", rows)
+
+    def row(self, j: int) -> tuple[float, ...]:
+        return self.matrix[j]
+
+    def hypothesis_index(self, name: str) -> int:
+        try:
+            return self.hypotheses.index(name)
+        except ValueError:
+            raise UnknownLabel(f"unknown hypothesis {name!r}") from None
 
 
 def pointwise_semantic_info(tf: TruthFunction, prior: Distribution, e) -> float:
@@ -83,11 +135,8 @@ def semantic_mutual_info(channel: Channel, prior: Distribution,
     Weights each hypothesis by its selection probability P(h_j) and uses the
     Bayes-inverted sampling distribution P(E | h_j) from the channel row.
     """
-    # a Channel is known by its hypotheses: its module is not loaded on the info path
-    if not isinstance(getattr(channel, "hypotheses", None), tuple):
-        raise OutOfRange(f"channel must be a Channel, got {channel!r}")
-    if not isinstance(prior, Distribution):
-        raise OutOfRange(f"prior must be a Distribution, got {prior!r}")
+    require_type("channel", channel, Channel)
+    require_type("prior", prior, Distribution)
     _require_same_alphabet(channel, prior)
     if len(tfs) != len(channel.hypotheses):
         raise IndexMismatch(

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Mapping, Sequence
+from collections.abc import Mapping
+from typing import Sequence
 
-from .distributions import Alphabet, Distribution, Frozen, require_finite, require_unit_interval
+from .distributions import (Alphabet, Distribution, Frozen, require_finite, require_type,
+                            require_unit_interval)
 from .errors import (
     AlphabetMismatch,
     BeliefOutOfRange,
@@ -56,6 +58,8 @@ class Gaussian(TruthFunction, Frozen):
 
     def __init__(self, center: float, stddev: float,
                  positions: Mapping[str, float] | None = None):
+        if positions is not None:
+            require_type("positions", positions, Mapping)
         require_finite("center, stddev, positions", (center, stddev, *(positions or {}).values()))
         if stddev <= 0:
             raise OutOfRange(f"stddev must be positive, got {stddev}")
@@ -73,9 +77,10 @@ class Gaussian(TruthFunction, Frozen):
         require_finite("evidence position", (x,))
         return x
 
+    # z*z overflows to inf and exp(-inf) is 0.0, so no spread or distance raises
     def value(self, e) -> float:
-        x = self._position(e)
-        return math.exp(-((x - self.center) ** 2) / (2.0 * self.stddev**2))
+        z = (self._position(e) - self.center) / self.stddev
+        return math.exp(-0.5 * z * z)
 
 
 class Tabular(TruthFunction, Frozen):
@@ -85,6 +90,7 @@ class Tabular(TruthFunction, Frozen):
     table: tuple[float, ...]
 
     def __init__(self, alphabet: Alphabet, table: Sequence[float]):
+        require_type("alphabet", alphabet, Alphabet)
         table = tuple(table)
         if len(table) != len(alphabet):
             raise AlphabetMismatch(
@@ -112,6 +118,7 @@ class Crisp(Tabular):
     positive_set: frozenset
 
     def __init__(self, alphabet: Alphabet, positive_set):
+        require_type("alphabet", alphabet, Alphabet)
         positive_set = frozenset(positive_set)
         for label in positive_set:
             if label not in alphabet:
@@ -129,6 +136,7 @@ class BeliefAdjusted(TruthFunction, Frozen):
     belief: float
 
     def __init__(self, base: TruthFunction, belief: float):
+        require_type("base", base, TruthFunction)
         require_finite("belief", (belief,))
         if not -1.0 <= belief <= 1.0:
             raise BeliefOutOfRange(f"belief must lie in [-1,1], got {belief}")
@@ -202,8 +210,8 @@ def truth_and_logical_probability(tf: TruthFunction, prior: Distribution
     ZeroLogicalProbability: alongside positive truth values it marks a
     degenerate prior, not a contradiction.
     """
-    if not isinstance(tf, TruthFunction):
-        raise OutOfRange(f"expected a TruthFunction, got {tf!r}")
+    require_type("truth function", tf, TruthFunction)
+    require_type("prior", prior, Distribution)
     truth = tf.values(prior.alphabet)
     if max(truth) == 0.0:
         return truth, None

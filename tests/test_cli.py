@@ -19,7 +19,7 @@ from semcal import (
     optimize_belief,
     raven_increments,
 )
-from semcal import estimation
+from semcal import estimation, reproduce
 from semcal.cli import _read_pairs, _read_samples, main
 from semcal.errors import ParseError
 from semcal.reproduce import reproduce_rows
@@ -303,6 +303,17 @@ class TestInfoCommand:
         assert rec["outputs"]["average_bits"] == expected
         assert expected > 0.0
 
+    def test_gaussian_spec_with_tiny_stddev(self, capsys, tmp_path):
+        # the spread's square underflows to 0.0: only the center keeps truth
+        prior, sampling = tmp_path / "prior.csv", tmp_path / "sampling.csv"
+        prior.write_text("0,0.25\n1,0.25\n2.5,0.5\n")
+        sampling.write_text("0,0.125\n1,0.625\n2.5,0.25\n")
+        status, rec = run_json(capsys, "info", "--prior", str(prior),
+                               "--sampling", str(sampling), "--tf", "gauss:0,1e-200")
+        assert status == 0
+        assert rec["outputs"]["pointwise_bits"] == {"0": 2.0, "1": "-inf", "2.5": "-inf"}
+        assert rec["outputs"]["average_bits"] == "-inf"
+
     def test_text_format_minus_inf_token(self, capsys, swans_files):
         prior, sampling = swans_files
         status, out = run(capsys, "info", "--prior", prior,
@@ -455,6 +466,14 @@ class TestReproduceCommand:
             for row in reproduce_rows() if row["status"] == "warning"]
         assert len(expected) == 2
         assert out.splitlines()[-2:] == expected
+
+    def test_row_outside_tolerance_fails_and_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(reproduce, "predicted_probability", lambda p_e1, b_prime: 0.5)
+        status, rec = run_json(capsys, "reproduce")
+        assert status == 2
+        row = rec["outputs"]["hiv-test.predicted_probability_high_risk"]
+        assert (row["computed"], row["status"]) == (0.5, "fail")
+        assert [r["status"] for r in reproduce.reproduce_rows()].count("fail") == 1
 
     def test_cep_row_exact(self, capsys):
         _, rec = run_json(capsys, "reproduce")

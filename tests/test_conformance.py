@@ -10,8 +10,10 @@ silent conversion of text or truncation of a float.  An entry of an array
 argument (the position-model channel and lag vector) counts as an argument.
 
 A wrong-type object, such as text where a contingency table, a rate spec,
-a truth function, a distribution, a channel or a sample set belongs, raises
-OutOfRange where it enters (``WRONG_TYPES``).  ``ERROR_PATHS`` gives each
+a truth function, a distribution, a channel, a sample set, an alphabet or a
+positions mapping belongs, raises OutOfRange where it enters
+(``WRONG_TYPES``), and every export that takes such an object has a row
+there.  ``ERROR_PATHS`` gives each
 remaining raise of the library a call that reaches it, with its class and
 exit code.
 """
@@ -39,6 +41,7 @@ from semcal import (
     bayes_invert,
     belief_adjust,
     channel_from_samples,
+    contradiction,
     doc_from_rates,
     doc_from_test,
     doc_h1_from_table,
@@ -51,6 +54,7 @@ from semcal import (
     kl_divergence,
     lag_distribution,
     logical_probability,
+    negate,
     optimal_truth_function,
     optimize_belief,
     pointwise_info,
@@ -59,6 +63,7 @@ from semcal import (
     raven_increments,
     semantic_bayes,
     semantic_mutual_info,
+    tautology,
 )
 from semcal.errors import (
     AlphabetMismatch,
@@ -188,7 +193,8 @@ def test_numpy_and_fraction_scalars_are_numbers():
 
 
 #: name: a call that passes a wrong-type object where a table, rate spec, truth
-#: function, distribution, channel or sample set belongs
+#: function, distribution, channel, sample set, alphabet or positions mapping
+#: belongs; the name starts with the export it calls
 WRONG_TYPES = {
     "raven_increments-text": lambda: raven_increments("x"),
     "doc_h1_from_table-tuple": lambda: doc_h1_from_table((1, 2, 3, 4)),
@@ -221,7 +227,38 @@ WRONG_TYPES = {
     "optimize_belief-channel-sampling": lambda: optimize_belief(TAB, PRIOR, CHANNEL),
     "channel_from_samples-text": lambda: channel_from_samples("x"),
     "empirical_conditional-text": lambda: empirical_conditional("x", {"a"}),
+    "optimal_truth_function-text-channel": lambda: optimal_truth_function("x", 0),
+    "optimal_truth_function-distribution-channel": lambda: optimal_truth_function(PRIOR, 0),
+    "logical_probability-none-prior": lambda: logical_probability(TAB, None),
+    "semantic_bayes-none-prior": lambda: semantic_bayes(None, TAB),
+    "pointwise_semantic_info-none-prior": lambda: pointwise_semantic_info(TAB, None, "a"),
+    "negate-text": lambda: negate("x"),
+    "belief_adjust-text-base": lambda: belief_adjust("x", 0.5),
+    "BeliefAdjusted-text-base": lambda: BeliefAdjusted("x", 0.5),
+    "Gaussian-list-positions": lambda: Gaussian(0, 1, positions=[1, 2]),
+    # text of the right length where an Alphabet belongs
+    "Tabular-text-alphabet": lambda: Tabular("ab", (0.25, 1.0)),
+    "Distribution-text-alphabet": lambda: Distribution("ab", (0.5, 0.5)),
+    "Channel-text-alphabet": lambda: Channel("ab", ("h1", "h0"), ((1.0, 0.25), (0.0, 0.75))),
+    "Crisp-none-alphabet": lambda: Crisp(None, {"a"}),
+    "SampleSet-text-alphabet": lambda: SampleSet("ab", [("h", "a")]),
+    "tautology-text-alphabet": lambda: tautology("ab"),
+    "contradiction-text-alphabet": lambda: contradiction("ab"),
 }
+
+#: Exports that take no alphabet, distribution, truth function, channel, sample
+#: set, table, rate spec or positions mapping: only numbers, labels, pairs or arrays.
+TAKES_NO_OBJECTS = {
+    "Alphabet", "ContingencyTable", "DocCase", "GpsModel", "RateSpec", "TruthFunction",
+    "doc_from_test", "gps_cep_doc", "gps_fit", "gps_objective", "lag_distribution",
+    "pointwise_info", "predicted_probability",
+}
+
+
+def test_every_export_is_a_wrong_type_row_or_takes_no_objects():
+    rows = {name.partition("-")[0] for name in WRONG_TYPES}
+    assert not rows & (TAKES_NO_OBJECTS | RESULT_RECORDS)
+    assert rows | TAKES_NO_OBJECTS | RESULT_RECORDS == set(semcal.__all__)
 
 
 @pytest.mark.parametrize("call", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())

@@ -177,6 +177,21 @@ class TestSemanticMutualInfo:
         tfs = [optimal_truth_function(channel, j) for j in range(2)]
         assert semantic_mutual_info(channel, prior, tfs) == pytest.approx(0.0, abs=1e-12)
 
+    def test_never_selected_hypothesis_is_skipped(self):
+        # h0's row is all zero: P(h0) = 0, so its contradiction is never measured
+        prior = Distribution(AB, (0.3, 0.7))
+        channel = Channel(AB, ("h1", "h0"), ((1.0, 1.0), (0.0, 0.0)))
+        tf = Tabular(AB, (0.5, 1.0))
+        expected = average_semantic_info(tf, prior, prior)
+        assert semantic_mutual_info(channel, prior, [tf, contradiction(AB)]) == expected
+
+    def test_one_falsified_hypothesis_gives_minus_inf(self):
+        # h1 is selected by e1, where its truth function is 0
+        prior = Distribution(AB, (0.5, 0.5))
+        channel = Channel(AB, ("h1", "h0"), ((1.0, 0.25), (0.0, 0.75)))
+        tfs = [Crisp(AB, {"e0"}), tautology(AB)]
+        assert semantic_mutual_info(channel, prior, tfs) == float("-inf")
+
     def test_index_mismatch(self):
         prior = Distribution(AB, (0.5, 0.5))
         channel = Channel(AB, ("h1", "h0"), ((1.0, 0.0), (0.0, 1.0)))

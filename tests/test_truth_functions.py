@@ -88,6 +88,13 @@ class TestGaussianErrors:
         with pytest.raises(OutOfRange):
             Gaussian(0.0, stddev)
 
+    # (x - center)**2 overflowed or the spread's square underflowed to 0.0
+    @pytest.mark.parametrize("stddev, x, expected", [(1.0, 1e200, 0.0), (1e200, 0.0, 1.0),
+                                                      (1e-200, 1.0, 0.0)],
+                             ids=["far-evidence", "huge-stddev", "tiny-stddev"])
+    def test_extreme_scales_give_the_limit(self, stddev, x, expected):
+        assert Gaussian(0.0, stddev).value(x) == expected
+
 
 class TestVectorPath:
     @given(tabular_values, beliefs)

@@ -14,7 +14,8 @@ import pytest
 
 from semcal.confirmation import ContingencyTable, DocCase, DocResult, RateSpec
 from semcal.distributions import Alphabet, Distribution
-from semcal.estimation_types import Channel, GpsModel, SampleSet
+from semcal.estimation_types import GpsModel, SampleSet
+from semcal.semantic_info import Channel
 from semcal.truth_functions import BeliefAdjusted, Crisp, Gaussian, Tabular
 
 AB = Alphabet(("a", "b"))
