@@ -27,15 +27,14 @@ from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
 from .distributions import (Frozen, _bayes_masses, _kl_bits, _normalized, require_count,
-                            require_finite, require_masses, require_type,
-                            require_unit_interval)
+                            require_finite, require_masses, require_sequence,
+                            require_type, require_unit_interval)
 from .errors import (
     DegenerateGeometry,
     DegenerateInput,
     DegenerateRates,
     EmptyColumn,
     EmptyRow,
-    IndexMismatch,
     NegativeMass,
     UnknownKind,
     ZeroDenominator,
@@ -80,10 +79,10 @@ class RateSpec(Frozen):
     posterior: tuple[float, float]   # (Q0, Q1)
 
     def __init__(self, prior: tuple[float, float], posterior: tuple[float, float]):
-        for name, pair in (("prior masses", prior), ("posterior masses", posterior)):
-            if len(pair) != 2:
-                raise IndexMismatch(f"{name} must be a pair, got {pair}")
-            require_masses(name, pair)
+        prior = require_sequence("prior masses", prior, 2)
+        require_masses("prior masses", prior)
+        posterior = require_sequence("posterior masses", posterior, 2)
+        require_masses("posterior masses", posterior)
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "posterior", posterior)
 

@@ -5,11 +5,14 @@ first-class value: an impossible posterior yields ``-inf``, never an exception.
 The convention 0*log2(0/p) = 0 is used throughout.
 
 The argument gates of the whole package live here: ``require_finite``,
-``require_unit_interval`` and ``require_count`` for numbers, and
-``require_type`` for objects.  A wrong-type object (text where an
-``Alphabet``, a ``Distribution`` or a truth function belongs) raises
-OutOfRange where it enters: in the constructor that stores it or in the
-function that takes it, not as an AttributeError further down.
+``require_unit_interval`` and ``require_count`` for numbers,
+``require_type`` for objects and ``require_sequence`` for sequences.  A
+wrong-type object (text where an ``Alphabet``, a ``Distribution`` or a
+truth function belongs) or a sequence that is not one (a number where
+masses, labels, rows or records belong) raises OutOfRange where it enters:
+in the constructor that stores it or in the function that takes it, not as
+an AttributeError or a TypeError further down.  A sequence of the wrong
+length raises the mismatch its site names.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .errors import (
     AbsoluteContinuityViolated,
     AlphabetMismatch,
     DuplicateLabel,
+    IndexMismatch,
     NegativeMass,
     NonFinite,
     NotNormalized,
@@ -73,6 +77,22 @@ def require_type(what: str, value, kind: type):
     if isinstance(value, kind):
         return value
     raise OutOfRange(f"{what} must be a {kind.__name__}, got {value!r}")
+
+
+def require_sequence(what: str, values, length: int | None = None,
+                     mismatch: type = IndexMismatch) -> tuple:
+    """``values`` as a tuple: the one sequence gate.
+
+    OutOfRange when ``values`` cannot be iterated, and ``mismatch`` when
+    ``length`` is given and the tuple has another length.
+    """
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise OutOfRange(f"{what} must be a sequence, got {values!r}") from None
+    if length is not None and len(values) != length:
+        raise mismatch(f"{what}: got {len(values)}, expected {length}")
+    return values
 
 
 def require_masses(what: str, values) -> float:
@@ -161,7 +181,7 @@ class Alphabet(Frozen):
     labels: tuple[str, ...]
 
     def __init__(self, labels: Sequence[str]):
-        labels = tuple(str(l) for l in labels)
+        labels = tuple(map(str, require_sequence("alphabet labels", labels)))
         if not labels:
             raise NotNormalized("alphabet must not be empty")
         positions = {label: i for i, label in enumerate(labels)}
@@ -199,10 +219,7 @@ class Distribution(Frozen):
 
     def __init__(self, alphabet: Alphabet, probs: Sequence[float]):
         require_type("alphabet", alphabet, Alphabet)
-        probs = tuple(probs)
-        if len(probs) != len(alphabet):
-            raise AlphabetMismatch(
-                f"{len(probs)} probabilities for {len(alphabet)} labels")
+        probs = require_sequence("probabilities", probs, len(alphabet), AlphabetMismatch)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "probs", _normalized(probs))
 
@@ -265,9 +282,6 @@ def kl_divergence(q: Distribution, p: Distribution) -> float:
 def bayes_invert(prior: Distribution, channel_row: Sequence[float]) -> Distribution:
     """Posterior P(E|h) from prior P(E) and a selecting-rule row P(h|E)."""
     require_type("prior", prior, Distribution)
-    row = tuple(channel_row)
-    if len(row) != len(prior.alphabet):
-        raise AlphabetMismatch(
-            f"channel row length {len(row)} != alphabet size {len(prior.alphabet)}")
+    row = require_sequence("channel row", channel_row, len(prior.alphabet), AlphabetMismatch)
     require_unit_interval("channel row values", row)
     return Distribution(prior.alphabet, _bayes_masses(prior.probs, row))

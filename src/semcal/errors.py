@@ -69,7 +69,9 @@ class OutOfRange(ValidationError):
     """A value lies outside its domain, or is not a real number (or an integer) at all.
 
     Also an object of the wrong type where a contingency table, rate spec,
-    truth function, distribution, channel or sample set belongs.
+    truth function, distribution, channel or sample set belongs, and a value
+    that is not a sequence (it cannot be iterated) where labels, masses,
+    truth values, rows, records or truth functions belong.
     """
 
 

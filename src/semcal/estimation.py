@@ -51,6 +51,7 @@ from .distributions import (
     _require_distributions,
     require_count,
     require_finite,
+    require_sequence,
     require_type,
 )
 from .errors import (
@@ -65,7 +66,8 @@ from .errors import (
     ZeroPrior,
     ZeroRow,
 )
-from .estimation_types import SampleSet, _real, gaussian_profile, toroidal_offset
+from .estimation_types import (SampleSet, _real, _require_spread, gaussian_profile,
+                               toroidal_offset)
 from .semantic_info import Channel, average_semantic_info
 from .truth_functions import Tabular, TruthFunction, belief_adjust
 
@@ -91,7 +93,7 @@ TIE_BITS = 1e-12
 def empirical_conditional(samples: SampleSet, condition_subset) -> Distribution:
     """Relative evidence frequencies among records whose tag is in the subset."""
     require_type("samples", samples, SampleSet)
-    subset = {str(c) for c in condition_subset}
+    subset = set(map(str, require_sequence("condition subset", condition_subset)))
     counts = Counter(label for condition, label in samples.records if condition in subset)
     matched = sum(counts.values())
     if matched == 0:
@@ -505,10 +507,7 @@ def gps_objective(observed: np.ndarray, delta: float, d: float, b: float) -> flo
 
     delta, d, b = _real("shift", delta), _real("spread", d), _real("belief", b)
     require_finite("shift and spread", (delta, d))
-    if not d > 0:
-        raise OutOfRange(f"spread must be positive, got d={d}")
-    if not math.isfinite(2.0 * d * d):    # the Gaussian's denominator
-        raise OutOfRange(f"spread {d} is too large: 2*d**2 is not finite")
+    _require_spread("spread", d)
     if not 0.0 <= b <= 1.0:
         raise BeliefOutOfRange(f"belief must lie in [0, 1], got b={b}")
     lags = _float_array(observed, "observed channel or lag distribution")

@@ -5,7 +5,9 @@ position-estimator deviation model) and the ``toroidal_offset`` wrap and
 ``gaussian_profile`` they share with ``estimation``, which holds the
 operations on them.  ``Channel`` lives in ``semantic_info``, beside the
 measure that takes it.  A wrong-type alphabet raises OutOfRange from
-``distributions.require_type``, and a wrong-type number from ``_real``.
+``distributions.require_type``, records that are not a sequence of pairs
+from ``distributions.require_sequence``, a wrong-type number from
+``_real`` and a spread the Gaussian cannot take from ``_require_spread``.
 numpy is imported inside the functions that use it, not at module load: it
 is the bulk of ``import semcal``, and only the position model needs it.
 """
@@ -15,7 +17,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Sequence
 
-from .distributions import Alphabet, Frozen, require_count, require_finite, require_type
+from .distributions import (Alphabet, Frozen, require_count, require_finite, require_sequence,
+                            require_type)
 from .errors import DegenerateGeometry, GridTooCoarse, NegativeMass, OutOfRange, UnknownLabel
 
 if TYPE_CHECKING:
@@ -30,7 +33,9 @@ class SampleSet(Frozen):
 
     def __init__(self, alphabet: Alphabet, records: Sequence[tuple[str, str]]):
         require_type("alphabet", alphabet, Alphabet)
-        records = tuple((str(c), str(e)) for c, e in records)
+        records = [require_sequence("record", record, 2)
+                   for record in require_sequence("records", records)]
+        records = tuple([(str(c), str(e)) for c, e in records])
         for _, e in records:
             if e not in alphabet:
                 raise UnknownLabel(f"evidence label {e!r} not in alphabet")
@@ -55,6 +60,18 @@ def _real(name: str, value) -> float:
         except (TypeError, ValueError):
             pass
     raise OutOfRange(f"{name} must be a number, got {value!r}")
+
+
+def _require_spread(what: str, d: float) -> None:
+    """OutOfRange unless a finite spread ``d`` is positive with 2*d**2 finite.
+
+    2*d**2 is the Gaussian's denominator; the one spread check of the
+    position model and its objective.
+    """
+    if not d > 0:
+        raise OutOfRange(f"{what} must be positive, got {d}")
+    if not math.isfinite(2.0 * d * d):
+        raise OutOfRange(f"{what} {d} is too large: 2*d**2 is not finite")
 
 
 def toroidal_offset(raw, size: int):
@@ -89,12 +106,9 @@ class GpsModel(Frozen):
             raise DegenerateGeometry(f"grid_size must be >= 2, got {grid_size}")
         delta_e, d, c = _real("delta_e", delta_e), _real("d", d), _real("c", c)
         require_finite("delta_e, d and c", (delta_e, d, c))
-        if d <= 0:
-            raise OutOfRange(f"standard deviation must be positive, got {d}")
+        _require_spread("standard deviation", d)
         if d < 2.0:
             raise GridTooCoarse(f"standard deviation {d} is below 2 grid steps")
-        if not math.isfinite(2.0 * d * d):    # the Gaussian's denominator
-            raise OutOfRange(f"standard deviation {d} is too large: 2*d**2 is not finite")
         if c < 0:
             raise NegativeMass(f"long-tail floor must be >= 0, got {c}")
         floor_mass = _real("grid_size", grid_size) * c

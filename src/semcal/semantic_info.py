@@ -24,9 +24,9 @@ from typing import Sequence
 
 from .distributions import (NORMALIZATION_TOLERANCE, Alphabet, Distribution, Frozen,
                             _require_distributions, _require_same_alphabet, bayes_invert,
-                            kl_divergence, require_type, require_unit_interval)
-from .errors import (AbsoluteContinuityViolated, DuplicateLabel, IndexMismatch, NotNormalized,
-                     UnknownLabel)
+                            kl_divergence, require_sequence, require_type,
+                            require_unit_interval)
+from .errors import AbsoluteContinuityViolated, DuplicateLabel, NotNormalized, UnknownLabel
 from .truth_functions import TruthFunction, semantic_bayes, truth_and_logical_probability
 
 
@@ -45,17 +45,12 @@ class Channel(Frozen):
     def __init__(self, alphabet: Alphabet, hypotheses: Sequence[str],
                  matrix: Sequence[Sequence[float]]):
         require_type("alphabet", alphabet, Alphabet)
-        hypotheses = tuple(str(h) for h in hypotheses)
+        hypotheses = tuple(map(str, require_sequence("hypotheses", hypotheses)))
         if len(set(hypotheses)) != len(hypotheses):
             raise DuplicateLabel(f"duplicate hypothesis names: {hypotheses}")
-        rows = tuple(map(tuple, matrix))
-        if len(rows) != len(hypotheses):
-            raise IndexMismatch(
-                f"{len(rows)} rows for {len(hypotheses)} hypotheses")
+        rows = require_sequence("channel rows", matrix, len(hypotheses))
+        rows = [require_sequence("channel row", row, len(alphabet)) for row in rows]
         for row in rows:
-            if len(row) != len(alphabet):
-                raise IndexMismatch(
-                    f"row length {len(row)} != alphabet size {len(alphabet)}")
             require_unit_interval("channel values", row)
         rows = tuple([tuple(map(float, row)) for row in rows])
         for i in range(len(alphabet)):
@@ -138,9 +133,7 @@ def semantic_mutual_info(channel: Channel, prior: Distribution,
     require_type("channel", channel, Channel)
     require_type("prior", prior, Distribution)
     _require_same_alphabet(channel, prior)
-    if len(tfs) != len(channel.hypotheses):
-        raise IndexMismatch(
-            f"{len(tfs)} truth functions for {len(channel.hypotheses)} hypotheses")
+    tfs = require_sequence("truth functions", tfs, len(channel.hypotheses))
     total = 0.0
     for j in range(len(channel.hypotheses)):
         row = channel.row(j)

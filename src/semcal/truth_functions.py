@@ -17,8 +17,8 @@ from abc import ABC, abstractmethod
 from collections.abc import Mapping
 from typing import Sequence
 
-from .distributions import (Alphabet, Distribution, Frozen, require_finite, require_type,
-                            require_unit_interval)
+from .distributions import (Alphabet, Distribution, Frozen, require_finite, require_sequence,
+                            require_type, require_unit_interval)
 from .errors import (
     AlphabetMismatch,
     BeliefOutOfRange,
@@ -41,7 +41,7 @@ class TruthFunction(ABC):
 
     def values(self, alphabet: Alphabet) -> tuple[float, ...]:
         """The truth vector over ``alphabet``: every measure evaluates through this."""
-        return tuple(self.value(label) for label in alphabet)
+        return tuple(self.value(label) for label in require_type("alphabet", alphabet, Alphabet))
 
 
 class Gaussian(TruthFunction, Frozen):
@@ -91,10 +91,7 @@ class Tabular(TruthFunction, Frozen):
 
     def __init__(self, alphabet: Alphabet, table: Sequence[float]):
         require_type("alphabet", alphabet, Alphabet)
-        table = tuple(table)
-        if len(table) != len(alphabet):
-            raise AlphabetMismatch(
-                f"{len(table)} values for {len(alphabet)} labels")
+        table = require_sequence("truth values", table, len(alphabet), AlphabetMismatch)
         require_unit_interval("truth values", table)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "table", tuple(map(float, table)))
@@ -102,8 +99,10 @@ class Tabular(TruthFunction, Frozen):
     def value(self, e) -> float:
         return self.table[self.alphabet.index(e)]
 
+    # the identity test first: the belief solve passes the table's own alphabet
     def values(self, alphabet: Alphabet) -> tuple[float, ...]:
-        if alphabet.labels == self.alphabet.labels:
+        if (alphabet is self.alphabet
+                or require_type("alphabet", alphabet, Alphabet).labels == self.alphabet.labels):
             return self.table
         return super().values(alphabet)
 
@@ -119,7 +118,7 @@ class Crisp(Tabular):
 
     def __init__(self, alphabet: Alphabet, positive_set):
         require_type("alphabet", alphabet, Alphabet)
-        positive_set = frozenset(positive_set)
+        positive_set = frozenset(require_sequence("positive set", positive_set))
         for label in positive_set:
             if label not in alphabet:
                 raise UnknownLabel(f"{label!r} not in alphabet {alphabet.labels}")

@@ -133,6 +133,23 @@ class TestDocFromRates:
                 assert denial.case is DocCase.PROPER_NEGATION
 
 
+class TestRateSpecFromLists:
+    """A spec built from lists stores tuples of its own, not the caller's lists."""
+
+    def test_is_hashable(self):
+        assert hash(RateSpec([0.2, 0.8], [0.01, 0.99])) == hash(RateSpec((0.2, 0.8), (0.01, 0.99)))
+
+    def test_equals_the_spec_built_from_tuples(self):
+        assert RateSpec([0.2, 0.8], [0.01, 0.99]) == RateSpec((0.2, 0.8), (0.01, 0.99))
+
+    def test_changing_the_list_later_changes_nothing(self):
+        pair = [0.2, 0.8]
+        spec = RateSpec(pair, (0.01, 0.99))
+        pair[:] = [0.6, 0.9]    # sums to 1.5: the constructor would refuse it
+        assert spec.prior == (0.2, 0.8)
+        assert doc_from_rates(spec) == doc_from_rates(RateSpec((0.2, 0.8), (0.01, 0.99)))
+
+
 class TestDocFromTable:
     def test_birds(self):
         r = doc_h1_from_table(ContingencyTable(83, 57, 17, 686))

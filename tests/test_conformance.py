@@ -13,9 +13,11 @@ A wrong-type object, such as text where a contingency table, a rate spec,
 a truth function, a distribution, a channel, a sample set, an alphabet or a
 positions mapping belongs, raises OutOfRange where it enters
 (``WRONG_TYPES``), and every export that takes such an object has a row
-there.  ``ERROR_PATHS`` gives each
-remaining raise of the library a call that reaches it, with its class and
-exit code.
+there.  So does a non-iterable where a sequence belongs, and a sequence of
+the wrong length raises the mismatch of its site (``WRONG_SEQUENCES``),
+with a row for every export that takes a sequence.  ``ERROR_PATHS`` gives
+each remaining raise of the library a call that reaches it, with its class
+and exit code.
 """
 
 import math
@@ -70,6 +72,7 @@ from semcal.errors import (
     DegenerateGeometry,
     EmptyColumn,
     EmptyRow,
+    IndexMismatch,
     NegativeMass,
     NotNormalized,
     OutOfRange,
@@ -266,6 +269,77 @@ def test_wrong_type_object_is_out_of_range(call):
     with pytest.raises(OutOfRange) as info:
         call()
     assert info.value.exit_code == 1
+
+
+SAMPLES = SampleSet(AB, [("h1", "a"), ("h0", "b")])
+
+#: name: (a call that passes a non-iterable where labels, masses, truth values,
+#: rows, records or truth functions belong, or a record or row of the wrong
+#: length, and the class it raises); the name starts with the export it calls.
+#: A non-iterable raises OutOfRange, a wrong length the mismatch of its site.
+WRONG_SEQUENCES = {
+    "Alphabet-int-labels": (lambda: Alphabet(5), OutOfRange),
+    "Tabular-none-table": (lambda: Tabular(AB, None), OutOfRange),
+    "Tabular-values-text-alphabet": (lambda: TAB.values("ab"), OutOfRange),
+    "Distribution-none-probs": (lambda: Distribution(AB, None), OutOfRange),
+    "Channel-none-hypotheses": (lambda: Channel(AB, None, ((1.0, 0.25), (0.0, 0.75))),
+                                OutOfRange),
+    "Channel-none-matrix": (lambda: Channel(AB, ("h1", "h0"), None), OutOfRange),
+    "Channel-int-row": (lambda: Channel(AB, ("h1", "h0"), [5, 5]), OutOfRange),
+    "Channel-one-row-for-two-hypotheses": (lambda: Channel(AB, ("h1", "h0"), [5]),
+                                           IndexMismatch),
+    "Channel-short-row": (lambda: Channel(AB, ("h",), [(1.0,)]), IndexMismatch),
+    "SampleSet-none-records": (lambda: SampleSet(AB, None), OutOfRange),
+    "SampleSet-int-record": (lambda: SampleSet(AB, [5]), OutOfRange),
+    "SampleSet-one-field-record": (lambda: SampleSet(AB, [("c",)]), IndexMismatch),
+    "SampleSet-three-field-record": (lambda: SampleSet(AB, [("c", "a", "b")]), IndexMismatch),
+    "Crisp-int-positive-set": (lambda: Crisp(AB, 5), OutOfRange),
+    "Crisp-values-none-alphabet": (lambda: Crisp(AB, {"a"}).values(None), OutOfRange),
+    "bayes_invert-none-row": (lambda: bayes_invert(PRIOR, None), OutOfRange),
+    "empirical_conditional-int-subset": (lambda: empirical_conditional(SAMPLES, 5), OutOfRange),
+    "RateSpec-none-prior": (lambda: RateSpec(None, (0.5, 0.5)), OutOfRange),
+    "RateSpec-int-posterior": (lambda: RateSpec((0.5, 0.5), 1), OutOfRange),
+    "RateSpec-one-mass": (lambda: RateSpec((0.5, 0.5), [1.0]), IndexMismatch),
+    "semantic_mutual_info-none-tfs": (lambda: semantic_mutual_info(CHANNEL, PRIOR, None),
+                                      OutOfRange),
+    "semantic_mutual_info-one-tf-for-two-hypotheses": (
+        lambda: semantic_mutual_info(CHANNEL, PRIOR, [TAB]), IndexMismatch),
+    "Gaussian-values-text-alphabet": (lambda: Gaussian(0.0, 1.0).values("ab"), OutOfRange),
+    "BeliefAdjusted-values-text-alphabet": (lambda: BeliefAdjusted(TAB, 0.5).values("ab"),
+                                            OutOfRange),
+}
+
+#: Exports that take no sequence of labels, masses, truth values, rows, records
+#: or truth functions.  The position-model exports take arrays, which
+#: ``_float_array`` and the grid check gate; ``TruthFunction`` is abstract,
+#: and its ``values`` is called through the Gaussian and BeliefAdjusted rows.
+TAKES_NO_SEQUENCES = {
+    "ContingencyTable", "DocCase", "GpsModel", "TruthFunction", "average_semantic_info",
+    "belief_adjust", "channel_from_samples", "contradiction", "doc_from_rates", "doc_from_test",
+    "doc_h1_from_table", "doc_h2_from_table", "gkl_decomposition", "gps_cep_doc", "gps_fit",
+    "gps_objective", "kl_divergence", "lag_distribution", "logical_probability", "negate",
+    "optimal_truth_function", "optimize_belief", "pointwise_info", "pointwise_semantic_info",
+    "predicted_probability", "raven_increments", "semantic_bayes", "tautology",
+}
+
+
+def test_every_export_is_a_wrong_sequence_row_or_takes_no_sequences():
+    rows = {name.partition("-")[0] for name in WRONG_SEQUENCES}
+    assert not rows & (TAKES_NO_SEQUENCES | RESULT_RECORDS)
+    assert rows | TAKES_NO_SEQUENCES | RESULT_RECORDS == set(semcal.__all__)
+
+
+@pytest.mark.parametrize("call, error", WRONG_SEQUENCES.values(), ids=WRONG_SEQUENCES.keys())
+def test_wrong_sequence_is_a_validation_error(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert info.value.exit_code == 1
+
+
+def test_text_is_a_sequence_of_labels():
+    assert Alphabet("ab") == AB
+    assert Crisp(AB, "a") == Crisp(AB, {"a"})
+    assert SampleSet(AB, ["ha"]).records == (("h", "a"),)
 
 
 #: name: (call, error class, exit code): a raise that no other test reaches
