@@ -56,6 +56,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_floats(text: str, expected: int, what: str) -> list[float]:
+    """``expected`` comma-separated numbers from ``text``, or ParseError.
+
+    Every number the CLI reads from text goes through here: the ``--table``,
+    ``--rates`` and ``--test`` values, the ``gauss:``, ``table:`` and
+    ``belief:`` truth-function specs, and each probability of a
+    distribution file.
+    """
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != expected:
         raise ParseError(f"{what} needs {expected} comma-separated values, got {len(parts)}")
@@ -83,12 +90,9 @@ def _read_pairs(path: str, header: str):
 
 def _read_distribution(path: str) -> Distribution:
     labels, probs = [], []
-    try:
-        for label, prob in _read_pairs(path, "label,probability"):
-            labels.append(label.strip())
-            probs.append(float(prob))
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    for label, prob in _read_pairs(path, "label,probability"):
+        labels.append(label.strip())
+        probs += _parse_floats(prob, 1, f"{path}: probability of {labels[-1]!r}")
     return Distribution(Alphabet(labels), probs)
 
 
@@ -119,10 +123,7 @@ def _parse_tf(spec: str, alphabet: Alphabet):
         b_text, _, inner = rest.partition(":")
         if not inner:
             raise ParseError("belief spec needs belief:<b>:<inner-spec>")
-        try:
-            b = float(b_text)
-        except ValueError:
-            raise ParseError(f"bad belief value {b_text!r}") from None
+        b, = _parse_floats(b_text, 1, "belief value")
         return belief_adjust(_parse_tf(inner, alphabet), b)
     raise ParseError(f"unknown truth-function spec kind {kind!r}")
 

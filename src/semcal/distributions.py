@@ -123,8 +123,9 @@ def _normalized(masses: Sequence[float]) -> tuple[float, ...]:
 def _bayes_masses(prior: Sequence[float], row: Sequence[float]) -> list[float]:
     """Bayes' rule on masses: prior*row over its fsum, or ZeroSelectionMass if that is not > 0.
 
-    The one Bayes' rule, shared by ``bayes_invert`` and the mass-pair paths;
-    the result is renormalized, as a posterior, by ``_normalized``.
+    The one Bayes' rule, shared by ``bayes_invert``, ``semantic_bayes``
+    (whose row is the truth vector) and the mass-pair paths; the result is
+    renormalized, as a posterior, by ``_normalized``.
     """
     joint = [p * float(v) for p, v in zip(prior, row)]
     mass = math.fsum(joint)

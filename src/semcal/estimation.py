@@ -462,18 +462,21 @@ def lag_distribution(observed: np.ndarray) -> np.ndarray:
     ``observed`` is the row-normalized channel P(reported | true) on a grid
     of m cells; entry k of the result is (1/m) * sum_t observed[t, (t+k) mod m],
     the joint probability that the reported cell lies k steps past the true
-    one; the entries total 1.  Anything but a non-empty square matrix raises
-    DegenerateGeometry, and each row passes ``_check_mass``.  The rows of a
-    float32 or float16 channel, which sum to 1 only to the rounding of their
-    type, are divided by their float64 sums.  The gather is a strided view
-    of the channel placed beside itself: row k of the view walks the
-    diagonal t -> t + k, with strides read from the doubled array, so a
-    channel in any memory layout gathers the same cells.
+    one; the entries total 1.  An array of other than two dimensions raises
+    OutOfRange, an empty or non-square matrix DegenerateGeometry, and each
+    row passes ``_check_mass``.  The rows of a float32 or float16 channel,
+    which sum to 1 only to the rounding of their type, are divided by their
+    float64 sums.  The gather is a strided view of the channel placed
+    beside itself: row k of the view walks the diagonal t -> t + k, with
+    strides read from the doubled array, so a channel in any memory layout
+    gathers the same cells.
     """
     import numpy as np
 
     observed = _float_array(observed, "observed channel")
-    if observed.ndim != 2 or observed.shape[0] != observed.shape[1] or observed.size == 0:
+    if observed.ndim != 2:
+        raise OutOfRange(f"observed channel must be a matrix, got shape {observed.shape}")
+    if observed.shape[0] != observed.shape[1] or observed.size == 0:
         raise DegenerateGeometry(f"need a non-empty square channel, got {observed.shape}")
     sums = _check_mass(observed, "observed channel rows", axis=1)
     if observed.itemsize < 8:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .distributions import (NORMALIZATION_TOLERANCE, Alphabet, Distribution, Frozen,
                             _require_distributions, _require_same_alphabet, bayes_invert,
-                            kl_divergence, require_sequence, require_type,
+                            kl_divergence, pointwise_info, require_sequence, require_type,
                             require_unit_interval)
 from .errors import AbsoluteContinuityViolated, DuplicateLabel, NotNormalized, UnknownLabel
 from .truth_functions import TruthFunction, semantic_bayes, truth_and_logical_probability
@@ -53,11 +53,12 @@ class Channel(Frozen):
         for row in rows:
             require_unit_interval("channel values", row)
         rows = tuple([tuple(map(float, row)) for row in rows])
-        for i in range(len(alphabet)):
-            col = math.fsum(row[i] for row in rows)
+        # with no rows there are no columns to zip, and each sums to 0
+        columns = zip(*rows) if rows else [()] * len(alphabet)
+        for label, column in zip(alphabet.labels, columns):
+            col = math.fsum(column)
             if abs(col - 1.0) > NORMALIZATION_TOLERANCE:
-                raise NotNormalized(
-                    f"column for {alphabet.labels[i]!r} sums to {col}, not 1")
+                raise NotNormalized(f"column for {label!r} sums to {col}, not 1")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "hypotheses", hypotheses)
         object.__setattr__(self, "matrix", rows)
@@ -73,14 +74,16 @@ class Channel(Frozen):
 
 
 def pointwise_semantic_info(tf: TruthFunction, prior: Distribution, e) -> float:
-    """Semantic information of evidence ``e`` about the hypothesis, in bits."""
+    """Semantic information of evidence ``e`` about the hypothesis, in bits.
+
+    The classical ``distributions.pointwise_info`` with the truth value t(e)
+    as the posterior and the logical probability T(A) as the prior:
+    log2(t(e) / T(A)), ``-inf`` where t(e) = 0, and 0 for a contradiction.
+    """
     truth_values, lp = truth_and_logical_probability(tf, prior)
     if lp is None:
         return 0.0
-    t = truth_values[prior.alphabet.index(e)]
-    if t == 0.0:
-        return float("-inf")
-    return math.log2(t / lp)
+    return pointwise_info(truth_values[prior.alphabet.index(e)], lp)
 
 
 def average_semantic_info(tf: TruthFunction, prior: Distribution,

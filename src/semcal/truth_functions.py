@@ -17,8 +17,8 @@ from abc import ABC, abstractmethod
 from collections.abc import Mapping
 from typing import Sequence
 
-from .distributions import (Alphabet, Distribution, Frozen, require_finite, require_sequence,
-                            require_type, require_unit_interval)
+from .distributions import (Alphabet, Distribution, Frozen, _bayes_masses, require_finite,
+                            require_sequence, require_type, require_unit_interval)
 from .errors import (
     AlphabetMismatch,
     BeliefOutOfRange,
@@ -224,9 +224,12 @@ def truth_and_logical_probability(tf: TruthFunction, prior: Distribution
 def semantic_bayes(prior: Distribution, tf: TruthFunction) -> Distribution:
     """Likelihood prediction P(E | "tf is true").
 
-    P(e_i | A) = P(e_i) t(e_i) / T(A), where T(A) is the logical probability.
+    P(e_i | A) = P(e_i) t(e_i) / T(A), where T(A) is the logical probability:
+    Bayes' rule (``distributions._bayes_masses``) with the truth vector as
+    the likelihood row.  The mass that rule divides by is T(A), summed by
+    the same ``fsum``, so it is at least ``CONTRADICTION_FLOOR`` here.
     """
     truth, lp = truth_and_logical_probability(tf, prior)
     if lp is None:
         raise ZeroLogicalProbability("truth function is a contradiction")
-    return Distribution(prior.alphabet, [p * t / lp for p, t in zip(prior.probs, truth)])
+    return Distribution(prior.alphabet, _bayes_masses(prior.probs, truth))

@@ -307,19 +307,22 @@ WRONG_SEQUENCES = {
     "Gaussian-values-text-alphabet": (lambda: Gaussian(0.0, 1.0).values("ab"), OutOfRange),
     "BeliefAdjusted-values-text-alphabet": (lambda: BeliefAdjusted(TAB, 0.5).values("ab"),
                                             OutOfRange),
+    # a number where a position-model array belongs
+    "lag_distribution-int-channel": (lambda: lag_distribution(5), OutOfRange),
+    "gps_fit-int-channel": (lambda: gps_fit(5), OutOfRange),
+    "gps_objective-int-channel": (lambda: gps_objective(5, 0, 2, 0.5), OutOfRange),
 }
 
-#: Exports that take no sequence of labels, masses, truth values, rows, records
-#: or truth functions.  The position-model exports take arrays, which
-#: ``_float_array`` and the grid check gate; ``TruthFunction`` is abstract,
+#: Exports that take no sequence of labels, masses, truth values, rows, records,
+#: truth functions or position-model arrays.  ``TruthFunction`` is abstract,
 #: and its ``values`` is called through the Gaussian and BeliefAdjusted rows.
 TAKES_NO_SEQUENCES = {
     "ContingencyTable", "DocCase", "GpsModel", "TruthFunction", "average_semantic_info",
     "belief_adjust", "channel_from_samples", "contradiction", "doc_from_rates", "doc_from_test",
-    "doc_h1_from_table", "doc_h2_from_table", "gkl_decomposition", "gps_cep_doc", "gps_fit",
-    "gps_objective", "kl_divergence", "lag_distribution", "logical_probability", "negate",
-    "optimal_truth_function", "optimize_belief", "pointwise_info", "pointwise_semantic_info",
-    "predicted_probability", "raven_increments", "semantic_bayes", "tautology",
+    "doc_h1_from_table", "doc_h2_from_table", "gkl_decomposition", "gps_cep_doc",
+    "kl_divergence", "logical_probability", "negate", "optimal_truth_function",
+    "optimize_belief", "pointwise_info", "pointwise_semantic_info", "predicted_probability",
+    "raven_increments", "semantic_bayes", "tautology",
 }
 
 

@@ -1657,17 +1657,33 @@ class TestGpsValidation:
         assert info.value.exit_code == 2
 
     @pytest.mark.parametrize("observed", [
-        np.float64(1.0),
-        np.full(8, 1 / 8),
-        np.full((8, 8, 8), 1 / 8),
         np.full((8, 9), 1 / 9),
         np.full((7, 7), 1 / 7),
         np.zeros((0, 0)),
-    ], ids=["0-d", "1-d", "3-d", "8x9", "7x7", "empty"])
+    ], ids=["8x9", "7x7", "empty"])
     def test_fit_needs_square_grid_of_eight(self, observed):
         with pytest.raises(DegenerateGeometry) as info:
             gps_fit(observed)
         assert info.value.exit_code == 2
+
+    @pytest.mark.parametrize("call", [lag_distribution, gps_fit,
+                                      lambda observed: gps_objective(observed, 0.0, 2.0, 0.5)],
+                             ids=["lag_distribution", "gps_fit", "gps_objective"])
+    @pytest.mark.parametrize("observed", [np.float64(1.0), np.full((8, 8, 8), 1 / 8)],
+                             ids=["0-d", "3-d"])
+    def test_wrong_number_of_dimensions_is_out_of_range(self, call, observed):
+        # a validation error (exit 1), not a degenerate grid (exit 2)
+        with pytest.raises(OutOfRange) as info:
+            call(observed)
+        assert info.value.exit_code == 1
+
+    @pytest.mark.parametrize("call", [lag_distribution, gps_fit],
+                             ids=["lag_distribution", "gps_fit"])
+    def test_vector_where_a_channel_belongs_is_out_of_range(self, call):
+        # gps_objective takes a vector: the lag distribution
+        with pytest.raises(OutOfRange) as info:
+            call(np.full(8, 1 / 8))
+        assert info.value.exit_code == 1
 
     @pytest.mark.parametrize("entry", ["a", 1 + 1j], ids=["text", "complex"])
     @pytest.mark.parametrize("call, position", [

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +37,45 @@ def random_distribution(rng, n):
     return [v / total for v in raw]
 
 
+def sparse_distribution(rng, alphabet, zero_share):
+    """Random masses on ``alphabet``, each 0 with probability ``zero_share`` but the last."""
+    raw = [0.0 if rng.random() < zero_share else rng.random() for _ in alphabet.labels[1:]]
+    raw.append(rng.uniform(0.05, 1.0))
+    total = math.fsum(raw)
+    return Distribution(alphabet, [v / total for v in raw])
+
+
+def random_truth_problem(rng):
+    """A prior and a crisp, tabular or belief-adjusted truth function on 2 to 256 labels.
+
+    A twentieth of the prior masses and a tenth of the tabular truth values
+    are 0; the other truth values run down to 1e-3.
+    """
+    n = rng.choice((2, 3, 5, 8, 17, 64, 256))
+    ab = Alphabet([f"x{i}" for i in range(n)])
+    prior = sparse_distribution(rng, ab, 0.05)
+    kind = rng.choice(("crisp", "tabular", "belief"))
+    if kind == "crisp":
+        return prior, Crisp(ab, rng.sample(ab.labels, rng.randint(1, n)))
+    table = Tabular(ab, [0.0 if rng.random() < 0.1 else 10 ** rng.uniform(-3, 0)
+                         for _ in range(n)])
+    return prior, table if kind == "tabular" else belief_adjust(table, rng.uniform(-1, 1))
+
+
+def test_semantic_bayes_within_four_ulps_of_exact_bayes():
+    # exact reference: P(e) t(e) / sum P t, in Fraction arithmetic
+    rng = random.Random(31)
+    for _ in range(400):
+        prior, tf = random_truth_problem(rng)
+        joint = [Fraction(p) * Fraction(t) for p, t in zip(prior.probs, tf.values(prior.alphabet))]
+        total = sum(joint)
+        if total == 0:
+            continue
+        for got, mass in zip(semantic_bayes(prior, tf).probs, joint):
+            exact = mass / total
+            assert abs(Fraction(got) - exact) <= 4 * Fraction(math.ulp(float(exact)))
+
+
 class TestPointwise:
     def test_tautology_is_zero(self):
         prior = Distribution(AB, (0.8, 0.2))
@@ -53,6 +93,24 @@ class TestPointwise:
     def test_contradiction_convention(self):
         prior = Distribution(AB, (0.8, 0.2))
         assert pointwise_semantic_info(contradiction(AB), prior, "e1") == 0.0
+
+    def test_sampling_average_of_pointwise_is_average_info(self):
+        # sum_e q(e) * I(e) by fsum against average_semantic_info's own loop
+        rng = random.Random(31)
+        for _ in range(400):
+            prior, tf = random_truth_problem(rng)
+            sampling = sparse_distribution(rng, prior.alphabet, 0.3)
+            truth = tf.values(prior.alphabet)
+            if max(truth) == 0.0:
+                continue
+            terms = [q * pointwise_semantic_info(tf, prior, e)
+                     for e, q in zip(prior.alphabet, sampling.probs) if q > 0.0]
+            average = average_semantic_info(tf, prior, sampling)
+            falsified = any(q > 0.0 and t == 0.0 for q, t in zip(sampling.probs, truth))
+            assert (average == float("-inf")) == falsified
+            assert (math.fsum(terms) == float("-inf")) == falsified
+            if not falsified:
+                assert math.fsum(terms) == pytest.approx(average, rel=1e-12)
 
     def test_lower_logical_probability_means_more_info(self):
         # shrink the truth value elsewhere: T(A) drops, info at e1 rises
