@@ -222,16 +222,15 @@ def cmd_doc(args, record: dict) -> int:
 
 
 def cmd_info(args, record: dict) -> int:
-    from .semantic_info import average_semantic_info, gkl_decomposition, pointwise_semantic_info
+    from .semantic_info import _pointwise_bits, average_semantic_info, gkl_decomposition
 
     prior = _read_distribution(args.prior)
     sampling = _read_distribution(args.sampling)
     tf = _parse_tf(args.tf, prior.alphabet)
     record["inputs"].update(prior=args.prior, sampling=args.sampling, tf=args.tf)
     outputs = record["outputs"]
-    outputs["pointwise_bits"] = {
-        label: pointwise_semantic_info(tf, prior, label) for label in prior.alphabet
-    }
+    labels = prior.alphabet.labels
+    outputs["pointwise_bits"] = dict(zip(labels, _pointwise_bits(tf, prior, labels)))
     outputs["average_bits"] = average_semantic_info(tf, prior, sampling)
     outputs["kl_info_bits"], outputs["penalty_bits"] = gkl_decomposition(tf, prior, sampling)
     return 0

@@ -276,6 +276,12 @@ def _belief_gap(groups, kept: float, mean: float):
     which only blunts the Newton steps there; the sign of k, which settles
     the bracket, does not use it.  Returns None where a truth value is 0,
     which only happens at b = 1.
+
+    Only at b = 1 can a truth value be small enough (below about 1e-154)
+    for S2 to overflow, and below about 1e-308 S as well, which would read
+    H as 0.  There the sums are taken again relative to the least truth
+    value T_0, as s = sum_g Q_g*(T_0/T_g) and s2 = sum_g Q_g*(T_0/T_g)**2,
+    which neither overflow: H = T_0*M/s and k' = (M/s)*(T_0 - s2/s) - E_P[u].
     """
     lp_slope = mean - 1.0     # E_P[u]
 
@@ -290,6 +296,12 @@ def _belief_gap(groups, kept: float, mean: float):
                 s2 += r / truth
         except ZeroDivisionError:
             return None
+        if s2 == math.inf:     # b = 1, where T_g = t_g
+            least = min(t for t, _ in groups)
+            s = sum(q * (least / t) for t, q in groups)
+            s2 = sum(q * (least / t) ** 2 for t, q in groups)
+            h = kept / s
+            return h * least - mean, h * (least - s2 / s) - lp_slope
         h = kept / s
         return h - (offset + b * mean), h * (1.0 - s2 / s) / b - lp_slope
 
@@ -616,6 +628,46 @@ def _newton_step(grad, hess, free):
     return step
 
 
+def _log_parabola(values: list[float], top: int, floor: float):
+    """Coefficients (c0, c1, c2) of the parabola through log(h - floor) at the peak, or None.
+
+    ``values`` is the lag vector h as a list and ``top`` the lag of its
+    peak.  The parabola c0 + c1*x + c2*x**2, in the offset x from the peak,
+    is fitted by least squares over the run of lags around the peak whose
+    excess h - floor is above a quarter of the peak's, each lag weighted by
+    its excess, so that the noisy low lags move it least.  The fit is the
+    Newton step from 0 on the weighted squared residual, the solution of
+    the normal equations; ``_newton_step`` gives None when they are not
+    positive definite, and the result is None as well when the run holds
+    fewer than three lags.  The sums are one plain loop over the run; on a
+    run of about 20 lags a numpy version of them measured no faster.
+    """
+    m = len(values)
+    cut = 0.25 * (values[top] - floor)
+    right = left = 0
+    while right < m - 1 and values[(top + right + 1) % m] - floor > cut:
+        right += 1
+    while right - left < m - 1 and values[top + left - 1] - floor > cut:
+        left -= 1
+    if not cut > 0.0 or right - left < 2:
+        return None
+    s0 = s1 = s2 = s3 = s4 = r0 = r1 = r2 = 0.0    # sums of w*x^k and of w*log(w)*x^k
+    for x in range(left, right + 1):
+        w = values[(top + x) % m] - floor
+        wx, wy = w * x, w * math.log(w)
+        wxx = wx * x
+        s0 += w
+        s1 += wx
+        s2 += wxx
+        s3 += wxx * x
+        s4 += wxx * x * x
+        r0 += wy
+        r1 += wy * x
+        r2 += wy * x * x
+    return _newton_step([r0, r1, r2], [[-s0, -s1, -s2], [-s1, -s2, -s3], [-s2, -s3, -s4]],
+                        range(3))
+
+
 def gps_fit(observed: np.ndarray) -> tuple[float, float, float]:
     """Recover (delta_e, d, b) of the deviation model from an observed channel.
 
@@ -623,13 +675,18 @@ def gps_fit(observed: np.ndarray) -> tuple[float, float, float]:
     ``lag_distribution`` checks it and reduces it to its lag distribution h
     once (O(m^2)), and fewer than 8 lags raise DegenerateGeometry.  Every
     evaluation after that is O(m).  Start: the lag with the most mass is the
-    integer shift delta_0 and the median lag the floor.  The parabola through
-    log(h - floor) at the peak and its two neighbours gives delta at its
-    vertex and d = sqrt(-1/curvature) (the half-maximum width / 2.3548 where
-    a neighbour is not above the floor or the parabola is not concave), and
-    b = 1 - floor/peak, or 1 - 1/m where more than half the lags are empty
-    and the floor reads 0: from the top of the box a step toward an optimum
-    inside it only doubles 1 - b.
+    integer shift delta_0 and the median lag the floor.  Over the run of
+    lags around the peak whose excess h - floor is above a quarter of the
+    peak's, a parabola is fitted to log(h - floor) by least squares, each
+    lag weighted by its excess, in one plain loop over the run.  Its vertex
+    gives delta, its curvature (the x^2 coefficient a) d = sqrt(-1/(2a)),
+    and its height y at the vertex b = 1 - floor/(floor + e^y).  Where the
+    run holds fewer than three lags or the parabola is not concave, the
+    start is delta_0, the half-maximum width / 2.3548 and
+    b = 1 - floor/peak.  b is 1 - 1/m where more than half the lags are
+    empty and the floor reads 0: from the top of the box a step toward an
+    optimum inside it only doubles 1 - b.  On an exact model channel the
+    excess over the run is the Gaussian to rounding, and so is the start.
 
     Then bounded Newton ascent on F(delta, d, b), with the gradient and
     Hessian of ``_gps_newton_terms``, in the box delta in [delta_0 - 1,
@@ -642,7 +699,10 @@ def gps_fit(observed: np.ndarray) -> tuple[float, float, float]:
     accepted step lowers the objective.  The fit stops when the predicted
     gain of the step or of a halved one (slope times move) is below the
     rounding of F, one ulp of 1 + |F| bits; when it moves no coordinate by
-    more than 1e-10; or after ``FIT_STEPS`` steps.  At the first two stops F
+    more than 1e-10; or after ``FIT_STEPS`` steps.  A Newton step that
+    clipping turned below that rounding does not stop the fit: the step is
+    taken again as the scaled slope, a projected gradient step, whose
+    clipped move cannot turn away from the gradient.  At the first two stops F
     can no longer rank the last step, but the gradient and Hessian that gave
     it keep their relative accuracy: the fit returns that step's full Newton
     trial, with no further evaluation, when no coordinate of it was clipped
@@ -652,12 +712,12 @@ def gps_fit(observed: np.ndarray) -> tuple[float, float, float]:
     On an exact model channel, (delta_e, d, k/(k+c)) maximizes F.  On 400
     random ones (m in 8..256, d in [2, m/4], c = 0 or up to 0.9/m) the fit
     was within 2e-9 of delta_e, 5e-7 of d and 4e-8 of k/(k+c) (of the bound
-    1 - 1e-9 where c = 0).  Over 10,400 channels of that kind, 0.3% of the
-    fits ended farther: up to 6e-8 in delta_e at m = 8, 7e-8 in b, and
-    1.6e-5 in d where d nears m/4 over a high floor and F is flat in d to
-    its rounding.  Another 0.4% stopped far from the optimum after a
-    clipped step: ``GpsModel(51, 1.5, 12.5, 0.006740196078431373)`` fits
-    d = 9.32.
+    1 - 1e-9 where c = 0).  Over 10,400 channels of that kind (26 draws),
+    0.26% of the fits ended farther: up to 2.3e-8 in delta_e and 7e-8 in b,
+    6e-7 in d where c = 0 holds b at the top of its box, and 4e-6 in d
+    where d nears m/4 over a high floor and F is flat in d to its rounding.
+    None stopped far from the optimum.  An exact channel at m = 200 takes
+    one Newton step, a sampled one about three.
     """
     import numpy as np
 
@@ -671,17 +731,17 @@ def gps_fit(observed: np.ndarray) -> tuple[float, float, float]:
     anchor = top - m if top > m / 2 else top
     # the median lag; np.median would import numpy.ma, ~20 ms of a CLI process
     peak, floor = float(lags[top]), float(np.sort(lags)[(m - 1) // 2:m // 2 + 1].mean())
-    left, right = float(lags[top - 1]), float(lags[(top + 1) % m])
-    delta, d = float(anchor), 0.0
-    if min(left, right) > floor:
-        y0, y1, y2 = math.log(left - floor), math.log(peak - floor), math.log(right - floor)
-        curvature = y0 - 2.0 * y1 + y2
-        if curvature < 0.0:
-            delta, d = anchor + 0.5 * (y0 - y2) / curvature, math.sqrt(-1.0 / curvature)
-    if d == 0.0:
-        d = np.count_nonzero(lags - floor >= 0.5 * (peak - floor)) / 2.3548
+    fit = _log_parabola(lags.tolist(), top, floor)
+    delta, height = float(anchor), peak - floor
+    if fit and fit[2] < 0.0:
+        vertex = min(max(-0.5 * fit[1] / fit[2], -1.0), 1.0)    # inside the box of delta
+        delta, d = anchor + vertex, math.sqrt(-0.5 / fit[2])
+        height = math.exp(fit[0] + vertex * (fit[1] + vertex * fit[2]))
+    else:
+        d = int(np.count_nonzero(lags - floor >= 0.5 * (peak - floor))) / 2.3548
+    crest = floor + height
     lo, hi = (anchor - 1.0, 2.0, 0.0), (anchor + 1.0, m / 4.0, 1.0 - 1e-9)
-    point = list(map(min, map(max, (delta, d, 1.0 - (floor or peak / m) / peak), lo), hi))
+    point = list(map(min, map(max, (delta, d, 1.0 - (floor or crest / m) / crest), lo), hi))
 
     value = gps_objective(lags, *point)
     for _ in range(FIT_STEPS):
@@ -689,21 +749,27 @@ def gps_fit(observed: np.ndarray) -> tuple[float, float, float]:
         free = [i for i in range(3) if lo[i] < point[i] < hi[i]
                 or (grad[i] > 0.0 if point[i] <= lo[i] else grad[i] < 0.0)]
         newton = _newton_step(grad, hess, free)
-        step = [0.0] * 3
-        for n, i in enumerate(free):
-            step[i] = newton[n] if newton else grad[i] / (abs(hess[i][i]) or 1.0)
+        slope = [grad[i] / (abs(hess[i][i]) or 1.0) if i in free else 0.0 for i in range(3)]
+        step = slope
+        if newton:
+            step = [0.0] * 3
+            for i, v in zip(free, newton):
+                step[i] = v
         top = hi[:2] + (min(hi[2], 1.0 - (1.0 - point[2]) / BELIEF_SHRINK),)
         scale, rounding = 1.0, math.ulp(1.0 + abs(value)) * math.log(2.0)
         full = None    # the full Newton trial, unclipped, while F cannot rank it below point
         while True:
             target = [v + scale * t for v, t in zip(point, step)]
             trial = list(map(min, map(max, target, lo), top))
-            if newton and scale == 1.0 and trial == target:
+            if step is not slope and scale == 1.0 and trial == target:
                 full = trial
             move = list(map(operator.sub, trial, point))
             if (not math.fsum(map(operator.mul, grad, move)) > rounding
                     or max(map(abs, move)) <= 1e-10):
-                return tuple(full or point)
+                if step is slope or trial == target:
+                    return tuple(full or point)
+                step, scale = slope, 1.0    # clipping turned the Newton step: take the slope
+                continue
             trial_value = gps_objective(lags, *trial)
             if trial_value >= value:
                 break

@@ -80,10 +80,20 @@ def pointwise_semantic_info(tf: TruthFunction, prior: Distribution, e) -> float:
     as the posterior and the logical probability T(A) as the prior:
     log2(t(e) / T(A)), ``-inf`` where t(e) = 0, and 0 for a contradiction.
     """
+    return _pointwise_bits(tf, prior, (e,))[0]
+
+
+def _pointwise_bits(tf: TruthFunction, prior: Distribution, labels) -> list[float]:
+    """``pointwise_semantic_info`` of each label in ``labels``, from one truth vector.
+
+    The truth vector and T(A) are computed once, so all n labels of the
+    alphabet cost O(n), not O(n^2).  A contradiction gives 0 bits for every
+    label without looking the labels up.
+    """
     truth_values, lp = truth_and_logical_probability(tf, prior)
     if lp is None:
-        return 0.0
-    return pointwise_info(truth_values[prior.alphabet.index(e)], lp)
+        return [0.0] * len(labels)
+    return [pointwise_info(truth_values[prior.alphabet.index(e)], lp) for e in labels]
 
 
 def average_semantic_info(tf: TruthFunction, prior: Distribution,

@@ -9,6 +9,7 @@ from semcal import (
     Crisp,
     Distribution,
     Gaussian,
+    Tabular,
     average_semantic_info,
     bayes_invert,
     channel_from_samples,
@@ -17,6 +18,7 @@ from semcal import (
     empirical_conditional,
     optimal_truth_function,
     optimize_belief,
+    pointwise_semantic_info,
     raven_increments,
 )
 from semcal import estimation, reproduce
@@ -313,6 +315,28 @@ class TestInfoCommand:
         assert status == 0
         assert rec["outputs"]["pointwise_bits"] == {"0": 2.0, "1": "-inf", "2.5": "-inf"}
         assert rec["outputs"]["average_bits"] == "-inf"
+
+    def test_pointwise_bits_match_the_library_at_n256(self, capsys, tmp_path):
+        # the CLI computes the truth vector once for all labels; each value must be
+        # bit for bit the library's own call for that label
+        rng = random.Random(32)
+        labels = [f"e{i}" for i in range(256)]
+        weights = [rng.random() for _ in labels]
+        probs = [w / sum(weights) for w in weights]
+        table = [0.0 if rng.random() < 0.1 else rng.random() for _ in labels]
+        prior = tmp_path / "prior.csv"
+        prior.write_text("".join(f"{e},{p!r}\n" for e, p in zip(labels, probs)))
+        spec = "table:" + ",".join(map(repr, table))
+        status, rec = run_json(capsys, "info", "--prior", str(prior), "--sampling", str(prior),
+                               "--tf", spec)
+        assert status == 0
+        tf = Tabular(Alphabet(labels), table)
+        expected = {e: pointwise_semantic_info(tf, Distribution(Alphabet(labels), probs), e)
+                    for e in labels}
+        assert list(rec["outputs"]["pointwise_bits"]) == labels
+        assert rec["outputs"]["pointwise_bits"] == {
+            e: "-inf" if v == float("-inf") else v for e, v in expected.items()}
+        assert "-inf" in rec["outputs"]["pointwise_bits"].values()
 
     def test_text_format_minus_inf_token(self, capsys, swans_files):
         prior, sampling = swans_files
