@@ -479,9 +479,13 @@ def lag_distribution(observed: np.ndarray) -> np.ndarray:
     row passes ``_check_mass``.  The rows of a float32 or float16 channel,
     which sum to 1 only to the rounding of their type, are divided by their
     float64 sums.  The gather is a strided view of the channel placed
-    beside itself: row k of the view walks the diagonal t -> t + k, with
-    strides read from the doubled array, so a channel in any memory layout
-    gathers the same cells.
+    beside itself, made by the ``np.ndarray`` constructor, which raises
+    ValueError if a view would read past its buffer (``as_strided`` costs
+    microseconds more per call when a fit starts cold): column k of the
+    view walks the diagonal t -> t + k, with strides read from the doubled
+    array, so a channel in any memory layout gathers the same cells.  Each
+    lag adds its m cells in t order, one row of the view at a time, and
+    the sum is divided by m: to the bit the mean over t.
     """
     import numpy as np
 
@@ -495,10 +499,9 @@ def lag_distribution(observed: np.ndarray) -> np.ndarray:
         observed = observed / sums[:, None]
     doubled = np.concatenate((observed, observed), axis=1)
     row, column = doubled.strides
-    # view[k, t] = doubled[t, t + k] = observed[t, (t+k) mod m]
-    view = np.lib.stride_tricks.as_strided(doubled, shape=observed.shape,
-                                           strides=(column, row + column), writeable=False)
-    return view.mean(axis=1)
+    # view[t, k] = doubled[t, t + k] = observed[t, (t+k) mod m]
+    view = np.ndarray(observed.shape, doubled.dtype, doubled, 0, (row + column, column))
+    return view.sum(axis=0) / observed.shape[0]
 
 
 def gps_objective(observed: np.ndarray, delta: float, d: float, b: float) -> float:
@@ -729,8 +732,10 @@ def gps_fit(observed: np.ndarray) -> tuple[float, float, float]:
 
     top = int(np.argmax(lags))
     anchor = top - m if top > m / 2 else top
-    # the median lag; np.median would import numpy.ma, ~20 ms of a CLI process
-    peak, floor = float(lags[top]), float(np.sort(lags)[(m - 1) // 2:m // 2 + 1].mean())
+    # the median lag, the mean of the middle two in Python floats: np.median would
+    # import numpy.ma, ~20 ms of a CLI process, and .mean() of a slice costs microseconds
+    ordered = np.sort(lags)
+    peak, floor = float(lags[top]), (float(ordered[(m - 1) // 2]) + float(ordered[m // 2])) / 2
     fit = _log_parabola(lags.tolist(), top, floor)
     delta, height = float(anchor), peak - floor
     if fit and fit[2] < 0.0:

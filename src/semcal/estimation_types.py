@@ -136,13 +136,20 @@ class GpsModel(Frozen):
 
         Row t is row 0 rotated t cells to the right, so one row of m
         exponentials is built and normalized, and the matrix is a copy of a
-        window sliding over that row placed beside itself: row t is
-        ``doubled[m - t : 2m - t]``.  The copy is C-contiguous, writeable and
-        owns its data.
+        view of that row placed beside itself: row t is
+        ``doubled[m - t : 2m - t]``.  The view comes from the ``np.ndarray``
+        constructor, offset m cells into ``doubled`` with strides of one
+        cell back per row and one forward per column; the constructor
+        raises ValueError if a view would read past its buffer.  numpy's
+        Python-level window helpers cost tens of microseconds each when a
+        fit starts cold.  The copy is C-contiguous, writeable and owns its
+        data.
         """
         import numpy as np
 
         m = self.grid_size
         row = self.peak_coefficient * gaussian_profile(m, self.delta_e, self.d) + self.c
-        doubled = np.tile(row / row.sum(), 2)
-        return np.lib.stride_tricks.sliding_window_view(doubled[1:], m)[::-1].copy()
+        row = row / row.sum()
+        doubled = np.concatenate((row, row))
+        cell = doubled.itemsize
+        return np.ndarray((m, m), doubled.dtype, doubled, m * cell, (-cell, cell)).copy()

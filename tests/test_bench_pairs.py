@@ -75,15 +75,17 @@ def test_reproduces_a_hand_built_record():
 
 
 class FakeRuns:
-    """Stands in for run_once: a fixed op_p50_ms per tree, and a log of the call order."""
+    """Stands in for run_once: a fixed op_p50_ms per tree, and a log of the call order and seeds."""
 
     def __init__(self, failed_at=None, spans=None):
         self.calls = []
+        self.seeds = []
         self.failed_at = failed_at
         self.spans = spans or {}
 
     def __call__(self, tree, workload, seed, seconds, trace):
         self.calls.append((tree.name, trace))
+        self.seeds.append(seed)
         failed = int(len(self.calls) == self.failed_at)
         value = 2.0 if tree.name == "parent" else 1.0
         names = (["op_p50_ms", "setup_s", "ops_per_s", "aux_p50_ms"] if not trace
@@ -163,6 +165,50 @@ def test_compiled_from_source_is_read_per_tree_before_the_runs(trees, tmp_path):
     assert workload["compiled_from_source"] == {"parent": True, "change": False}
     assert bench_pairs.compiled_from_source(parent) is False
     assert bench_pairs.compiled_from_source(tmp_path / "no-such-tree") is True
+
+
+def test_holdout_pairs_follow_the_claim_pairs_with_their_own_verdict(trees, tmp_path):
+    out = tmp_path / "BENCH.json"
+    runs = FakeRuns()
+    argv = _argv(trees, out, "--claim", "op_p50_ms", "--holdout-seed", "41",
+                 "--holdout-pairs", "2", "--trace")
+    assert bench_pairs.main(argv, run=runs) == 0
+    assert runs.calls == [("parent", 0), ("change", 0), ("change", 0), ("parent", 0),
+                          ("parent", 0), ("change", 0),
+                          ("parent", 0), ("change", 0), ("change", 0), ("parent", 0),
+                          ("parent", 1), ("change", 1)]
+    assert runs.seeds == [5] * 6 + [41] * 4 + [5] * 2
+    record = json.loads(out.read_text())
+    workload = record["workloads"]["confirm_2x2"]
+    held = workload["holdout"]
+    assert (held["seed"], held["pairs"], held["all_correct"]) == (41, 2, True)
+    assert held["metrics"]["op_p50_ms"]["parent_runs"] == [2.07, 2.1]
+    assert held["claim"]["metric"] == "op_p50_ms" and held["claim"]["change_wins"] == "2/2"
+    assert held["claim"]["met"] is True
+    # the claim itself reads the claim pairs alone
+    assert record["claim"]["change_wins"] == "3/3" and workload["pairs"] == 3
+
+
+def test_a_failed_holdout_run_exits_non_zero(trees, tmp_path):
+    out = tmp_path / "BENCH.json"
+    argv = _argv(trees, out, "--claim", "op_p50_ms", "--holdout-seed", "41",
+                 "--holdout-pairs", "1")
+    assert bench_pairs.main(argv, run=FakeRuns(failed_at=8)) == 1
+    workload = json.loads(out.read_text())["workloads"]["confirm_2x2"]
+    assert workload["all_correct"] is True and workload["holdout"]["all_correct"] is False
+
+
+@pytest.mark.parametrize("extra", [
+    ["--holdout-seed", "41", "--holdout-pairs", "5"],
+    ["--claim", "op_p50_ms", "--holdout-seed", "41"],
+    ["--claim", "op_p50_ms", "--holdout-pairs", "5"],
+    ["--claim", "op_p50_ms", "--holdout-seed", "41", "--holdout-pairs", "0"],
+], ids=["no-claim", "no-pairs", "no-seed", "zero-pairs"])
+def test_incomplete_holdout_is_refused(trees, tmp_path, extra):
+    runs = FakeRuns()
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(_argv(trees, tmp_path / "BENCH.json", *extra), run=runs)
+    assert exit_info.value.code == 2 and runs.calls == []
 
 
 def test_unknown_claim_metric_is_refused(trees, tmp_path):

@@ -1518,7 +1518,7 @@ class TestGpsModelChannel:
         check_channel_matrix(m, delta_e, d, floor_share / m)
 
     def test_channel_matrix_is_an_owned_writeable_copy(self):
-        # a window view over the doubled row is read-only, and every row aliases it
+        # every row of the view over the doubled row aliases that row: the copy must not
         channel = GpsModel(grid_size=16, delta_e=1.5, d=3.0, c=0.01).channel_matrix()
         assert channel.flags.c_contiguous and channel.flags.writeable and channel.flags.owndata
         before = channel.copy()
@@ -1860,7 +1860,7 @@ def in_layout(channel, layout):
         return np.asfortranarray(channel)
     if layout == "transposed-table":
         return np.ascontiguousarray(channel.T).T
-    wide = np.zeros((channel.shape[0], 2 * channel.shape[1]))
+    wide = np.zeros((channel.shape[0], 2 * channel.shape[1]), channel.dtype)
     wide[:, 1::2] = channel
     return wide[:, 1::2]
 
@@ -2045,6 +2045,62 @@ class TestNarrowFloatChannels:
         for call in (lambda: gps_fit(channel), lambda: gps_objective(lags, 0.0, 3.0, 0.9)):
             with pytest.raises(NotNormalized):
                 call()
+
+
+def strided_mean_lags(observed):
+    """The lag gather in its earlier form: an ``as_strided`` view, averaged over t."""
+    if observed.itemsize < 8:
+        observed = observed / observed.astype(float).sum(axis=1)[:, None]
+    doubled = np.concatenate((observed, observed), axis=1)
+    row, column = doubled.strides
+    view = np.lib.stride_tricks.as_strided(doubled, shape=observed.shape,
+                                           strides=(column, row + column), writeable=False)
+    return view.mean(axis=1)
+
+
+class TestPerOpPath:
+    """The position model builds its views with the ``np.ndarray`` constructor.
+
+    numpy's Python-level helpers (``np.tile``, ``as_strided``,
+    ``sliding_window_view``) cost tens of microseconds each when a fit
+    starts cold; the constructor's views give every value to the bit.  The
+    guard pins the per-op path as tests/test_imports.py pins module loads.
+    """
+
+    @pytest.mark.parametrize("m", [2, 3, 8, 200, 256])
+    def test_channel_matrix_is_the_rotations_of_row_zero(self, m):
+        channel = GpsModel(m, 0.37 * m, 2.0 + m / 16, 0.1 / m).channel_matrix()
+        rotations = np.stack([np.roll(channel[0], t) for t in range(m)])
+        assert channel.tobytes() == rotations.tobytes()
+        assert channel.flags.c_contiguous and channel.flags.writeable and channel.flags.owndata
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_lags_equal_the_strided_mean(self, layout, dtype):
+        for channel in (GpsModel(200, 3, 6.0, 0.001).channel_matrix(),
+                        random_channel(50, 9, 0.3), random_channel(8, 4, 0.0)):
+            observed = in_layout(channel.astype(dtype), layout)
+            assert observed.dtype == dtype
+            assert lag_distribution(observed).tobytes() == strided_mean_lags(observed).tobytes()
+
+    def test_fits_run_without_python_level_helpers(self, monkeypatch):
+        def sampled(channel):
+            counts = np.random.default_rng(7).multinomial(20000, channel)
+            return counts / counts.sum(axis=1, keepdims=True)
+
+        def fits():
+            exact = GpsModel(200, 2.37, 6.4, 0.001).channel_matrix()
+            return gps_fit(exact), gps_fit(sampled(exact))
+
+        before = fits()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Python-level numpy helper on the fit's per-op path")
+
+        monkeypatch.setattr(np, "tile", refuse)
+        monkeypatch.setattr(np.lib.stride_tricks, "as_strided", refuse)
+        monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", refuse)
+        assert fits() == before
 
 
 def pure_gaussian(m, delta, d):

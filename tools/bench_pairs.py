@@ -4,7 +4,8 @@ Usage (the trees are two checkouts of semcal, each with its own perfbench/):
 
     python3 tools/bench_pairs.py --parent PARENT_TREE --change CHANGE_TREE \\
         --workload confirm_2x2 --pairs 10 --seed 28 --seconds 20 \\
-        [--claim op_p50_ms] [--trace] [--out BENCH_27.json]
+        [--claim op_p50_ms [--holdout-seed 41 --holdout-pairs 5]] [--trace] \\
+        [--out BENCH_27.json]
 
 Each run is ``python3 perfbench/run.py --workload W --seed S --seconds T`` in
 the tree itself, so each tree measures its own src/ with its own harness,
@@ -19,8 +20,11 @@ over the pairs, the change's wins (pairs where it reads better; ties count
 for neither side) and the raw runs.  ``--claim`` names the metric the change
 claims to improve: the claim is met when the change wins at least 9 pairs in
 10 and the medians differ, in its favour, by more than the parent's
-interquartile range.  ``--trace`` adds one ``--trace 1`` run per tree, parent
-first, for the per-layer metrics.
+interquartile range.  ``--holdout-seed S --holdout-pairs N`` then runs N more
+pairs at seed S, one not used while the change was written, and keeps them
+with their own claim verdict under the workload's ``holdout``.  ``--trace``
+adds one ``--trace 1`` run per tree, parent first, for the per-layer
+metrics.
 
 ``--out`` merges the workload into that JSON file, so that one record can
 hold several workloads, one invocation each.  The script exits 1 when any
@@ -191,11 +195,20 @@ def parse_args(argv):
     parser.add_argument("--seed", required=True, type=int)
     parser.add_argument("--seconds", required=True, type=float)
     parser.add_argument("--claim", help="the end-to-end metric the change claims to improve")
+    parser.add_argument("--holdout-seed", type=int,
+                        help="seed of a held-out check of the claim, after the claim pairs")
+    parser.add_argument("--holdout-pairs", type=int, help="pairs of the held-out check")
     parser.add_argument("--trace", action="store_true", help="add one --trace 1 run per tree")
     parser.add_argument("--out", type=Path, help="JSON record to create or merge into")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs must be at least 1 and --seconds positive")
+    if (args.holdout_seed is None) != (args.holdout_pairs is None):
+        parser.error("--holdout-seed and --holdout-pairs go together")
+    if args.holdout_seed is not None and not args.claim:
+        parser.error("a held-out check needs --claim")
+    if args.holdout_pairs is not None and args.holdout_pairs < 1:
+        parser.error("--holdout-pairs must be at least 1")
     return args
 
 
@@ -212,6 +225,13 @@ def main(argv=None, run=run_once) -> int:
     workload = workload_record(parent_runs, change_runs, spec, args.seed)
     workload["compiled_from_source"] = compiled
     clean = workload["all_correct"]
+    if args.holdout_seed is not None:
+        held = workload_record(*pair_runs(args.parent, args.change, args.workload,
+                                          args.holdout_pairs, args.holdout_seed, args.seconds,
+                                          run), spec, args.holdout_seed)
+        held["claim"] = claim(args.workload, args.claim, held["metrics"][args.claim])
+        workload["holdout"] = held
+        clean = clean and held["all_correct"]
 
     record = json.loads(args.out.read_text()) if args.out and args.out.exists() else {}
     env = change_runs[0]["environment"]
@@ -241,9 +261,13 @@ def main(argv=None, run=run_once) -> int:
         args.out.write_text(text)
     else:
         sys.stdout.write(text)
+    verdicts = {}
     if record["claim"] and record["claim"]["workload"] == args.workload:
-        c = record["claim"]
-        print(f"claim {c['metric']}: {c['parent_median']:.6g} -> {c['change_median']:.6g} "
+        verdicts["claim"] = record["claim"]
+    if "holdout" in workload:
+        verdicts[f"held-out seed {args.holdout_seed}"] = workload["holdout"]["claim"]
+    for label, c in verdicts.items():
+        print(f"{label} {c['metric']}: {c['parent_median']:.6g} -> {c['change_median']:.6g} "
               f"({c['change_vs_parent_median_pct']:+.1f}%, wins {c['change_wins']}, "
               f"met {c['met']})", file=sys.stderr)
     return 0 if clean else 1
