@@ -26,8 +26,8 @@ import math
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
-from .distributions import (Frozen, _bayes_masses, _kl_bits, _normalized, require_count,
-                            require_finite, require_masses, require_sequence,
+from .distributions import (Frozen, _bayes_masses, _divided, _kl_bits, _normalized,
+                            require_count, require_finite, require_masses, require_sequence,
                             require_type, require_unit_interval)
 from .errors import (
     DegenerateGeometry,
@@ -66,10 +66,8 @@ class DocResult(Frozen):
 
     def __init__(self, b_star: float | Fraction, b_prime_star: float | Fraction, case: DocCase,
                  information_bits: Optional[float] = None):
-        object.__setattr__(self, "b_star", b_star)
-        object.__setattr__(self, "b_prime_star", b_prime_star)
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "information_bits", information_bits)
+        self.__dict__.update(b_star=b_star, b_prime_star=b_prime_star, case=case,
+                             information_bits=information_bits)
 
 
 class RateSpec(Frozen):
@@ -83,8 +81,7 @@ class RateSpec(Frozen):
         require_masses("prior masses", prior)
         posterior = require_sequence("posterior masses", posterior, 2)
         require_masses("posterior masses", posterior)
-        object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "posterior", posterior)
+        self.__dict__.update(prior=prior, posterior=posterior)
 
 
 class ContingencyTable(Frozen):
@@ -102,10 +99,7 @@ class ContingencyTable(Frozen):
             raise NegativeMass(f"counts must be >= 0: {counts}")
         if sum(counts) <= 0:
             raise EmptyRow("contingency table is empty")
-        object.__setattr__(self, "n11", n11)
-        object.__setattr__(self, "n10", n10)
-        object.__setattr__(self, "n01", n01)
-        object.__setattr__(self, "n00", n00)
+        self.__dict__.update(n11=n11, n10=n10, n01=n01, n00=n00)
 
 
 def doc_from_ratio(counter_rate, positive_rate) -> tuple[float, float, DocCase]:
@@ -218,8 +212,14 @@ def doc_from_test(sensitivity: float, specificity: float,
         return DocResult(*positive), DocResult(*negative)
     require_unit_interval("prior_positive", (prior_positive,))
     prior = _normalized((prior_positive, 1.0 - prior_positive))
-    pos_sampling = _normalized(_bayes_masses(prior, (sensitivity, 1.0 - specificity)))
-    neg_sampling = _normalized(_bayes_masses(prior, (1.0 - sensitivity, specificity)))
+    # No require_masses on the posteriors: they are finite, non-negative
+    # quotients of checked masses that sum to 1 within a few ulps, so the
+    # check cannot fail.  Divided by their fsum, they are renormalized as a
+    # Distribution's masses are, bit for bit.
+    pos_sampling = _bayes_masses(prior, (sensitivity, 1.0 - specificity))
+    neg_sampling = _bayes_masses(prior, (1.0 - sensitivity, specificity))
+    pos_sampling = _divided(pos_sampling, math.fsum(pos_sampling))
+    neg_sampling = _divided(neg_sampling, math.fsum(neg_sampling))
     return (DocResult(*positive, _kl_bits(pos_sampling, prior)),
             DocResult(*negative, _kl_bits(neg_sampling, prior)))
 

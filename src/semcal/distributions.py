@@ -113,10 +113,18 @@ def require_masses(what: str, values) -> float:
 def _normalized(masses: Sequence[float]) -> tuple[float, ...]:
     """Probability masses checked by ``require_masses`` and divided by their fsum.
 
-    The one renormalization: ``Distribution`` stores its masses this way,
-    and the mass-pair paths that build no ``Distribution`` call it too.
+    ``Distribution`` stores its masses this way, and the mass-pair paths
+    that build no ``Distribution`` call it too.
     """
-    total = require_masses("probabilities", masses)
+    return _divided(masses, require_masses("probabilities", masses))
+
+
+def _divided(masses: Sequence[float], total: float) -> tuple[float, ...]:
+    """Each mass over ``total``, their fsum: the one renormalization.
+
+    ``_normalized`` passes masses it has checked; a caller that skips the
+    check must hold masses that cannot fail it.
+    """
     return tuple([float(p) / total for p in masses])
 
 
@@ -125,7 +133,7 @@ def _bayes_masses(prior: Sequence[float], row: Sequence[float]) -> list[float]:
 
     The one Bayes' rule, shared by ``bayes_invert``, ``semantic_bayes``
     (whose row is the truth vector) and the mass-pair paths; the result is
-    renormalized, as a posterior, by ``_normalized``.
+    renormalized, as a posterior, by ``_normalized`` or ``_divided``.
     """
     joint = [p * float(v) for p, v in zip(prior, row)]
     mass = math.fsum(joint)
@@ -138,9 +146,11 @@ class Frozen:
     """Base of the immutable value classes.
 
     A subclass declares its fields as class annotations, in order (they
-    become ``_fields``), and sets each one in ``__init__`` with
-    ``object.__setattr__``.  Instances are equal when they are of the same
-    class with equal fields, hash on those fields, print as
+    become ``_fields``), and its ``__init__`` sets them all with one
+    ``self.__dict__.update(field=value, ...)``, which bypasses the refusing
+    ``__setattr__``; ``Alphabet._positions`` and ``Crisp.table`` are stored
+    in the same call and are not fields.  Instances are equal when they are
+    of the same class with equal fields, hash on those fields, print as
     ``Name(field=value, ...)`` and refuse assignment and deletion.  Nothing
     is generated or ``exec``'d at class creation, and no module beyond the
     interpreter's start-up set is imported, which keeps a CLI process fast.
@@ -188,8 +198,7 @@ class Alphabet(Frozen):
         positions = {label: i for i, label in enumerate(labels)}
         if len(positions) != len(labels):
             raise DuplicateLabel(f"duplicate labels in alphabet: {labels}")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_positions", positions)
+        self.__dict__.update(labels=labels, _positions=positions)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -221,8 +230,7 @@ class Distribution(Frozen):
     def __init__(self, alphabet: Alphabet, probs: Sequence[float]):
         require_type("alphabet", alphabet, Alphabet)
         probs = require_sequence("probabilities", probs, len(alphabet), AlphabetMismatch)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "probs", _normalized(probs))
+        self.__dict__.update(alphabet=alphabet, probs=_normalized(probs))
 
     def __getitem__(self, label: str) -> float:
         return self.probs[self.alphabet.index(label)]
@@ -260,14 +268,14 @@ def _kl_bits(q: Sequence[float], p: Sequence[float]) -> float:
     For masses that sum to 1 a negative sum can only be rounding (Gibbs'
     inequality), so it returns 0.
     """
-    total = 0.0
+    log2, total = math.log2, 0.0
     for qi, pi in zip(q, p):
         if qi == 0.0:
             continue
         if pi == 0.0:
             raise AbsoluteContinuityViolated(
                 "q has mass where p has none; KL(q||p) is infinite")
-        total += qi * math.log2(qi / pi)
+        total += qi * log2(qi / pi)
     return total if total > 0.0 else 0.0
 
 

@@ -39,8 +39,7 @@ class SampleSet(Frozen):
         for _, e in records:
             if e not in alphabet:
                 raise UnknownLabel(f"evidence label {e!r} not in alphabet")
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "records", records)
+        self.__dict__.update(alphabet=alphabet, records=records)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -114,10 +113,7 @@ class GpsModel(Frozen):
         floor_mass = _real("grid_size", grid_size) * c
         if floor_mass >= 1.0:
             raise OutOfRange(f"floor mass {floor_mass} leaves no room for the peak")
-        object.__setattr__(self, "grid_size", grid_size)
-        object.__setattr__(self, "delta_e", delta_e)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "c", c)
+        self.__dict__.update(grid_size=grid_size, delta_e=delta_e, d=d, c=c)
 
     @property
     def peak_coefficient(self) -> float:

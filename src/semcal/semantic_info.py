@@ -59,9 +59,7 @@ class Channel(Frozen):
             col = math.fsum(column)
             if abs(col - 1.0) > NORMALIZATION_TOLERANCE:
                 raise NotNormalized(f"column for {label!r} sums to {col}, not 1")
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "hypotheses", hypotheses)
-        object.__setattr__(self, "matrix", rows)
+        self.__dict__.update(alphabet=alphabet, hypotheses=hypotheses, matrix=rows)
 
     def row(self, j: int) -> tuple[float, ...]:
         return self.matrix[j]
@@ -107,13 +105,13 @@ def average_semantic_info(tf: TruthFunction, prior: Distribution,
     truth_values, lp = truth_and_logical_probability(tf, prior)
     if lp is None:
         return 0.0
-    total = 0.0
+    log2, total = math.log2, 0.0
     for q, t in zip(sampling.probs, truth_values):
         if q == 0.0:
             continue
         if t == 0.0:
             return float("-inf")
-        total += q * math.log2(t / lp)
+        total += q * log2(t / lp)
     return total
 
 

@@ -13,6 +13,7 @@ or suppresses it toward its negation structure (negative belief):
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
 from collections.abc import Mapping
 from typing import Sequence
@@ -63,9 +64,7 @@ class Gaussian(TruthFunction, Frozen):
         require_finite("center, stddev, positions", (center, stddev, *(positions or {}).values()))
         if stddev <= 0:
             raise OutOfRange(f"stddev must be positive, got {stddev}")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "stddev", stddev)
-        object.__setattr__(self, "positions", positions)
+        self.__dict__.update(center=center, stddev=stddev, positions=positions)
 
     def _position(self, e) -> float:
         try:
@@ -93,8 +92,7 @@ class Tabular(TruthFunction, Frozen):
         require_type("alphabet", alphabet, Alphabet)
         table = require_sequence("truth values", table, len(alphabet), AlphabetMismatch)
         require_unit_interval("truth values", table)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "table", tuple(map(float, table)))
+        self.__dict__.update(alphabet=alphabet, table=tuple(map(float, table)))
 
     def value(self, e) -> float:
         return self.table[self.alphabet.index(e)]
@@ -122,9 +120,7 @@ class Crisp(Tabular):
         for label in positive_set:
             if label not in alphabet:
                 raise UnknownLabel(f"{label!r} not in alphabet {alphabet.labels}")
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "positive_set", positive_set)
-        object.__setattr__(self, "table", tuple(
+        self.__dict__.update(alphabet=alphabet, positive_set=positive_set, table=tuple(
             [1.0 if label in positive_set else 0.0 for label in alphabet.labels]))
 
 
@@ -139,8 +135,7 @@ class BeliefAdjusted(TruthFunction, Frozen):
         require_finite("belief", (belief,))
         if not -1.0 <= belief <= 1.0:
             raise BeliefOutOfRange(f"belief must lie in [-1,1], got {belief}")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "belief", float(belief))
+        self.__dict__.update(base=base, belief=float(belief))
 
     # A negative belief -c is the belief c in the complement 1 - t: written
     # (1 - c) + c*(1 - t), not 1 - c*t, it keeps its relative accuracy where
@@ -155,9 +150,9 @@ class BeliefAdjusted(TruthFunction, Frozen):
         b, truth = self.belief, self.base.values(alphabet)
         if b < 0:
             offset, c = 1.0 + b, -b
-            return tuple(offset + c * (1.0 - t) for t in truth)
+            return tuple([offset + c * (1.0 - t) for t in truth])
         offset = 1.0 - b
-        return tuple(offset + b * t for t in truth)
+        return tuple([offset + b * t for t in truth])
 
 
 def tautology(alphabet: Alphabet) -> TruthFunction:
@@ -214,7 +209,7 @@ def truth_and_logical_probability(tf: TruthFunction, prior: Distribution
     truth = tf.values(prior.alphabet)
     if max(truth) == 0.0:
         return truth, None
-    lp = math.fsum(p * t for p, t in zip(prior.probs, truth))
+    lp = math.fsum(map(operator.mul, prior.probs, truth))
     if lp < CONTRADICTION_FLOOR:
         raise ZeroLogicalProbability(
             f"logical probability {lp} is vanishingly small but not an exact contradiction")

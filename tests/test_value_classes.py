@@ -4,7 +4,8 @@ For each of the 12 value classes: equality over its fields (and its class),
 equal hashes for equal objects, the ``Name(field=value, ...)`` repr, no
 assignment or deletion of a field, round trips through ``pickle``,
 ``copy.copy`` and ``copy.deepcopy``, and construction by keyword or by
-position with the documented defaults.
+position with the documented defaults.  An instance ``__dict__`` holds the
+class's ``_fields`` and nothing else but the two documented extras.
 """
 
 import copy
@@ -72,6 +73,9 @@ CASES = {
         "GpsModel(grid_size=64, delta_e=3.0, d=5.0, c=0.001)"),
 }
 
+#: Attributes stored beside the fields: an index of the labels, and the 0/1 vector.
+EXTRAS = {Alphabet: {"_positions"}, Crisp: {"table"}}
+
 PARAMS = pytest.mark.parametrize("cls, kwargs, other, text", CASES.values(), ids=CASES.keys())
 
 
@@ -113,6 +117,11 @@ def test_round_trips(cls, kwargs, other, text, clone):
     assert twin == obj and hash(twin) == hash(obj) and repr(twin) == text
     with pytest.raises(AttributeError):
         setattr(twin, next(iter(kwargs)), None)
+
+
+@PARAMS
+def test_instance_dict_holds_exactly_the_fields_and_documented_extras(cls, kwargs, other, text):
+    assert set(vars(cls(**kwargs))) == {*cls._fields, *EXTRAS.get(cls, ())}
 
 
 @PARAMS

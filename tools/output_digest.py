@@ -2,7 +2,7 @@
 
 Usage:
 
-    PYTHONPATH=src python3 tools/output_digest.py [--show GROUP]
+    PYTHONPATH=src python3 tools/output_digest.py [--show GROUP | --against TREE]
 
 Builds its inputs from one seed, calls the library on each and prints one
 line per group, ``<sha256>  <group>``, then ``<sha256>  total`` over the
@@ -20,15 +20,25 @@ numpy arrays and scalars are written as their dtype and Python values, so
 no digest depends on ``PYTHONHASHSEED`` or numpy's print options.
 ``--show GROUP`` prints that group's lines instead of its digest, so that
 two trees whose digests differ can be diffed call by call.
+
+``--against TREE`` compares with another checkout of semcal: it runs this
+tool in a subprocess with ``TREE/src`` first on ``PYTHONPATH`` (and
+``PYTHONDONTWRITEBYTECODE=1``, so that no bytecode is left in that tree), so
+both sides feed the same inputs to their own library.  It prints
+``same  <group>`` or ``differs  <group>`` per group and exits 1 if any group
+differs, 2 if the subprocess fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -218,17 +228,47 @@ def group_lines(name: str) -> list[str]:
     return list(GROUPS[name](random.Random(f"{SEED}:{name}")))
 
 
+def digests() -> dict[str, str]:
+    """Each group's digest, in ``GROUPS`` order."""
+    return {name: hashlib.sha256("\n".join(group_lines(name)).encode()).hexdigest()
+            for name in GROUPS}
+
+
+def compare(tree: Path) -> int:
+    """Print ``same`` or ``differs`` per group against the semcal in ``tree/src``."""
+    src = tree.resolve() / "src"
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, str(Path(__file__).resolve())], env=env,
+                         capture_output=True, text=True)
+    if run.returncode != 0:
+        print(f"the digest of {tree} failed:\n{run.stderr}", file=sys.stderr)
+        return 2
+    theirs = dict(reversed(line.split()) for line in run.stdout.splitlines())
+    same = {name: theirs.get(name) == digest for name, digest in digests().items()}
+    for name, equal in same.items():
+        print(f"{'same' if equal else 'differs'}  {name}")
+    return 0 if all(same.values()) else 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
-    parser.add_argument("--show", choices=sorted(GROUPS),
+    choice = parser.add_mutually_exclusive_group()
+    choice.add_argument("--show", choices=sorted(GROUPS),
                         help="print this group's lines instead of the digests")
+    choice.add_argument("--against", metavar="TREE", type=Path,
+                        help="compare each group with the semcal in TREE/src; exit 1 if any "
+                             "differs")
     args = parser.parse_args(argv)
     if args.show:
         print("\n".join(group_lines(args.show)))
         return 0
+    if args.against:
+        if not (args.against / "src" / "semcal").is_dir():
+            parser.error(f"{args.against} has no src/semcal")
+        return compare(args.against)
     total = hashlib.sha256()
-    for name in GROUPS:
-        digest = hashlib.sha256("\n".join(group_lines(name)).encode()).hexdigest()
+    for name, digest in digests().items():
         total.update(digest.encode())
         print(f"{digest}  {name}")
     print(f"{total.hexdigest()}  total")
