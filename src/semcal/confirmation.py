@@ -268,14 +268,17 @@ def raven_increments(t: ContingencyTable) -> tuple[float, float]:
     overflows.  Where a sum of two counts overflows, both sums are taken of
     the halved counts (``math.ldexp``, exact but for subnormal counts): each
     enters as a ratio to a count or to the other sum, so the results keep
-    their scale.  A derivative beyond float range raises DegenerateInput.
+    their scale.  No positive example (n11 = 0) raises EmptyRow, and an
+    empty counterexample column (n00 + n10 = 0) EmptyColumn, as in
+    ``doc_h1_from_table``.  A derivative beyond float range raises
+    DegenerateInput.
     """
     require_type("table", t, ContingencyTable)
     if t.n11 <= 0:
         raise EmptyRow("derivatives need n11 > 0")
     counter, positive = t.n00 + t.n10, t.n01 + t.n11
     if counter <= 0:
-        raise EmptyRow("derivatives need n00 + n10 > 0")
+        raise EmptyColumn("no counterexample column mass")
     n10 = t.n10
     if counter == math.inf or positive == math.inf:
         n10 = math.ldexp(n10, -1)

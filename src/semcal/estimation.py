@@ -33,7 +33,8 @@ gradient and Hessian of its objective (``_gps_newton_terms``).
 
 numpy is imported inside the position-model functions, not at module
 load: it is the bulk of ``import semcal``, and only these functions use it.
-Channel rows and lag vectors pass one mass check, ``_check_mass``.
+A channel or its lag vector enters the position model through one gate,
+``_lags``; channel rows and lag vectors pass one mass check, ``_check_mass``.
 """
 
 from __future__ import annotations
@@ -408,14 +409,17 @@ def channel_from_samples(samples: SampleSet) -> tuple[Channel, Distribution]:
     return Channel(samples.alphabet, conditions, rows), prior
 
 
-def _float_array(values, what: str) -> np.ndarray:
-    """``values`` as a float array, or OutOfRange unless every entry is a real number.
+def _float_array(values, what: str) -> tuple[np.ndarray, float]:
+    """``values`` as a float64 array and the mass tolerance of its type, or OutOfRange.
 
-    The kind of the array is checked before the cast, which would parse
-    numeric text and drop the imaginary part of a complex number; the
-    entries of an object array are checked one by one.  A float32 or
-    float16 array keeps its type, so that ``_check_mass`` can hold it to its
-    own rounding; every other array becomes float64.
+    OutOfRange unless every entry is a real number: the kind of the array is
+    checked before the cast, which would parse numeric text and drop the
+    imaginary part of a complex number; the entries of an object array are
+    checked one by one.  The tolerance is ``NORMALIZATION_TOLERANCE``, or 4
+    eps of a float32 or float16 array's type: masses that sum to 1 in such a
+    type do so to a few ulps of 1, whatever their number (at most eps/2 off
+    when rounded from float64, 2 eps when normalized in the type itself,
+    seen up to 4096 masses).
     """
     import numpy as np
 
@@ -423,34 +427,26 @@ def _float_array(values, what: str) -> np.ndarray:
         array = np.asarray(values)
         kind = array.dtype.kind
         if kind == "f" and array.itemsize < 8:
-            return array
+            return array.astype(float), 4.0 * float(np.finfo(array.dtype).eps)
         if kind in "biuf" or (kind == "O" and all(isinstance(v, numbers.Real) for v in array.flat)):
-            return array.astype(float, copy=False)
+            return array.astype(float, copy=False), NORMALIZATION_TOLERANCE
     except (TypeError, ValueError, OverflowError):
         pass
     raise OutOfRange(f"{what} must hold real numbers")
 
 
-def _check_mass(values: np.ndarray, what: str, axis: int | None = None):
-    """Return the float64 sums of ``values`` along ``axis``, once each is a probability mass.
+def _check_mass(values: np.ndarray, what: str, tolerance: float, axis: int | None = None):
+    """Return the sums of float64 ``values`` along ``axis``, once each is a probability mass.
 
     One min and one sum accept a valid array: no entry below 0 and every sum
-    within ``NORMALIZATION_TOLERANCE`` of 1, or, for float32 and float16
-    masses, within 4 eps of their type if that is larger: masses that sum
-    to 1 in such a type do so to a few ulps of 1, whatever their number (at
-    most eps/2 off when rounded from float64, 2 eps when normalized in the
-    type itself, seen up to 4096 masses).  The sum runs only once the
-    minimum has ruled out NaN and -inf.  The one sum of a whole array
-    (``axis`` None) is a float, compared in a tenth of the time of a numpy
-    scalar.  Only an array that fails is scanned again, to raise
-    NonFinite, NegativeMass or NotNormalized, first match in that order.
+    within ``tolerance`` of 1.  The sum runs only once the minimum has ruled
+    out NaN and -inf.  The one sum of a whole array (``axis`` None) is a
+    float, compared in a tenth of the time of a numpy scalar.  Only an array
+    that fails is scanned again, to raise NonFinite, NegativeMass or
+    NotNormalized, first match in that order.
     """
     import numpy as np
 
-    tolerance = NORMALIZATION_TOLERANCE
-    if values.itemsize < 8:
-        tolerance = max(tolerance, 4.0 * float(np.finfo(values.dtype).eps))
-        values = values.astype(float)
     sums = off = None
     if not values.size or values.min() >= 0:
         if axis is None:
@@ -468,58 +464,92 @@ def _check_mass(values: np.ndarray, what: str, axis: int | None = None):
     return sums
 
 
-def lag_distribution(observed: np.ndarray) -> np.ndarray:
-    """Joint mass of a uniform-prior channel at each toroidal lag.
+def _lags(observed) -> tuple[np.ndarray, float]:
+    """The lag vector of a channel or of a lag vector, as float64, and its total.
 
-    ``observed`` is the row-normalized channel P(reported | true) on a grid
-    of m cells; entry k of the result is (1/m) * sum_t observed[t, (t+k) mod m],
-    the joint probability that the reported cell lies k steps past the true
-    one; the entries total 1.  An array of other than two dimensions raises
-    OutOfRange, an empty or non-square matrix DegenerateGeometry, and each
-    row passes ``_check_mass``.  The rows of a float32 or float16 channel,
-    which sum to 1 only to the rounding of their type, are divided by their
-    float64 sums.  The gather is a strided view of the channel placed
-    beside itself, made by the ``np.ndarray`` constructor, which raises
-    ValueError if a view would read past its buffer (``as_strided`` costs
-    microseconds more per call when a fit starts cold): column k of the
-    view walks the diagonal t -> t + k, with strides read from the doubled
-    array, so a channel in any memory layout gathers the same cells.  Each
-    lag adds its m cells in t order, one row of the view at a time, and
-    the sum is divided by m: to the bit the mean over t.
+    The one input rule of the position model.  ``_float_array`` widens the
+    input to float64 once and gives the mass tolerance of its type.  A
+    vector is the lag vector itself: it is made contiguous, so that its dot
+    products sum in one order, and passes ``_check_mass``, whose sum is the
+    total; a contiguous float64 vector comes back as the caller's own
+    array.  A matrix is the row-normalized channel P(reported | true) on a
+    grid of m cells: an empty or non-square one raises DegenerateGeometry,
+    each row passes ``_check_mass``, and the channel is gathered once, in
+    O(m^2): entry k of its lag vector is
+    (1/m) * sum_t observed[t, (t+k) mod m], and its total is the vector's
+    float sum, with no second mass check.  Any other number of dimensions raises OutOfRange.  A float32 or
+    float16 input sums to 1 only to the rounding of its type, so once
+    checked it is divided by its float64 sums: each row of a channel, or a
+    vector as a whole, whose quotient then passes as a float64 vector.
+
+    The gather is a strided view of the channel placed beside itself, made
+    by the ``np.ndarray`` constructor, which raises ValueError if a view
+    would read past its buffer (``as_strided`` costs microseconds more per
+    call when a fit starts cold): column k of the view walks the diagonal
+    t -> t + k, with strides read from the doubled array, so a channel in
+    any memory layout gathers the same cells.  Each lag adds its m cells in
+    t order, one row of the view at a time, and the sum is divided by m: to
+    the bit the mean over t.
     """
     import numpy as np
 
-    observed = _float_array(observed, "observed channel")
+    observed, tolerance = _float_array(observed, "observed channel or lag distribution")
+    if observed.ndim == 1:
+        lags = np.ascontiguousarray(observed)
+        total = _check_mass(lags, "lag distribution", tolerance)
+        return _lags(lags / total) if tolerance > NORMALIZATION_TOLERANCE else (lags, total)
     if observed.ndim != 2:
-        raise OutOfRange(f"observed channel must be a matrix, got shape {observed.shape}")
+        raise OutOfRange(f"observed must be a matrix or a vector, got shape {observed.shape}")
     if observed.shape[0] != observed.shape[1] or observed.size == 0:
         raise DegenerateGeometry(f"need a non-empty square channel, got {observed.shape}")
-    sums = _check_mass(observed, "observed channel rows", axis=1)
-    if observed.itemsize < 8:
+    sums = _check_mass(observed, "observed channel rows", tolerance, axis=1)
+    if tolerance > NORMALIZATION_TOLERANCE:
         observed = observed / sums[:, None]
     doubled = np.concatenate((observed, observed), axis=1)
     row, column = doubled.strides
     # view[t, k] = doubled[t, t + k] = observed[t, (t+k) mod m]
     view = np.ndarray(observed.shape, doubled.dtype, doubled, 0, (row + column, column))
-    return view.sum(axis=0) / observed.shape[0]
+    lags = view.sum(axis=0) / observed.shape[0]
+    return lags, float(lags.sum())
+
+
+def lag_distribution(observed: np.ndarray) -> np.ndarray:
+    """Joint mass of a uniform-prior channel at each toroidal lag.
+
+    ``observed`` is either the row-normalized channel P(reported | true) on
+    a grid of m cells, gathered once in O(m^2), or its lag vector, checked
+    in O(m) and returned as float64: a contiguous float64 vector as the
+    caller's own array, not a copy, and a float32 or float16 one divided by
+    its sum.  Entry k of the result is
+    (1/m) * sum_t observed[t, (t+k) mod m], the joint probability that the
+    reported cell lies k steps past the true one; the entries total 1.
+    ``_lags`` holds the input rule: an array of other than one or two
+    dimensions raises OutOfRange, an empty or non-square matrix
+    DegenerateGeometry, and a lag vector or each row of a channel must pass
+    ``_check_mass``, to the rounding of its type.
+    """
+    return _lags(observed)[0]
 
 
 def gps_objective(observed: np.ndarray, delta: float, d: float, b: float) -> float:
     """Semantic mutual information of the parametric deviation hypothesis.
 
     ``observed`` is either the row-normalized channel P(reported | true) on
-    a toroidal grid of m cells or its ``lag_distribution``; a matrix is
-    reduced first.  The truth functions are g = b*exp(-dist^2/2d^2) + 1 - b,
-    centered at each reported cell shifted back by ``delta``, and the prior
-    over true positions is uniform.  Every truth value depends only on the
-    lag k = (reported - true) mod m, so every reported cell has the same
-    logical probability mean(g) and the information is exactly
+    a toroidal grid of m cells, reduced once by an O(m^2) gather, or its
+    lag vector, checked in O(m) and not copied when it is a contiguous
+    float64 array (a float32 or float16 one is divided by its sum);
+    ``_lags`` holds the input rule of both.  The truth functions are g =
+    b*exp(-dist^2/2d^2) + 1 - b, centered at each reported cell shifted
+    back by ``delta``, and the prior over true positions is uniform.  Every
+    truth value depends only on the lag k = (reported - true) mod m, so
+    every reported cell has the same logical probability mean(g) and the
+    information is exactly
     sum_k h[k]*log2 g(k - delta) - log2(mean g)*sum_k h[k]: an O(m)
-    evaluation on the lag distribution h, after one ``_check_mass`` of h.
-    For b < 1 every truth value is at least 1 - b > 0, and the sum is one
-    dot product over all the lags, with no mask.  At b = 1 a truth value can
-    be 0: the result is ``-inf`` when a lag with mass has truth value 0, and
-    otherwise a lag without mass adds 0 to the same dot product.
+    evaluation on the lag distribution h.  For b < 1 every truth value is
+    at least 1 - b > 0, and the sum is one dot product over all the lags,
+    with no mask.  At b = 1 a truth value can be 0: the result is ``-inf``
+    when a lag with mass has truth value 0, and otherwise a lag without
+    mass adds 0 to the same dot product.
     """
     import numpy as np
 
@@ -528,12 +558,7 @@ def gps_objective(observed: np.ndarray, delta: float, d: float, b: float) -> flo
     _require_spread("spread", d)
     if not 0.0 <= b <= 1.0:
         raise BeliefOutOfRange(f"belief must lie in [0, 1], got b={b}")
-    lags = _float_array(observed, "observed channel or lag distribution")
-    if lags.ndim != 1:
-        lags = lag_distribution(lags)
-    lags = np.ascontiguousarray(lags)    # the dot product sums in one order
-    total = float(_check_mass(lags, "lag distribution"))
-    lags = lags.astype(float, copy=False)    # a float32 or float16 vector, once checked
+    lags, total = _lags(observed)
     m = lags.shape[0]
     truth = b * gaussian_profile(m, delta, d) + (1.0 - b)
     logged = truth
@@ -672,24 +697,26 @@ def _log_parabola(values: list[float], top: int, floor: float):
 
 
 def gps_fit(observed: np.ndarray) -> tuple[float, float, float]:
-    """Recover (delta_e, d, b) of the deviation model from an observed channel.
+    """Recover (delta_e, d, b) of the deviation model from a channel or its lag vector.
 
-    ``observed`` is a square grid of at least 8 cells in any memory layout;
-    ``lag_distribution`` checks it and reduces it to its lag distribution h
-    once (O(m^2)), and fewer than 8 lags raise DegenerateGeometry.  Every
-    evaluation after that is O(m).  Start: the lag with the most mass is the
-    integer shift delta_0 and the median lag the floor.  Over the run of
-    lags around the peak whose excess h - floor is above a quarter of the
-    peak's, a parabola is fitted to log(h - floor) by least squares, each
-    lag weighted by its excess, in one plain loop over the run.  Its vertex
-    gives delta, its curvature (the x^2 coefficient a) d = sqrt(-1/(2a)),
-    and its height y at the vertex b = 1 - floor/(floor + e^y).  Where the
-    run holds fewer than three lags or the parabola is not concave, the
-    start is delta_0, the half-maximum width / 2.3548 and
-    b = 1 - floor/peak.  b is 1 - 1/m where more than half the lags are
-    empty and the floor reads 0: from the top of the box a step toward an
-    optimum inside it only doubles 1 - b.  On an exact model channel the
-    excess over the run is the Gaussian to rounding, and so is the start.
+    ``observed`` is a channel on a square grid in any memory layout, which
+    ``_lags`` checks and gathers into its lag distribution h once (O(m^2)),
+    or h itself, which it only checks (O(m)); as in ``lag_distribution``, a
+    contiguous float64 h is the caller's own array.  Fewer than 8 lags raise
+    DegenerateGeometry.  Every evaluation after that is O(m).  Start: the lag
+    with the most mass is the integer shift delta_0 and the median lag the
+    floor.  Over the run of lags around the peak whose excess h - floor is
+    above a quarter of the peak's, a parabola is fitted to log(h - floor) by
+    least squares, each lag weighted by its excess, in one plain loop over
+    the run.  Its vertex gives delta, its curvature (the x^2 coefficient a)
+    d = sqrt(-1/(2a)), and its height y at the vertex
+    b = 1 - floor/(floor + e^y).  Where the run holds fewer than three lags
+    or the parabola is not concave, the start is delta_0, the half-maximum
+    width / 2.3548 and b = 1 - floor/peak.  b is 1 - 1/m where more than
+    half the lags are empty and the floor reads 0: from the top of the box
+    a step toward an optimum inside it only doubles 1 - b.  On an exact
+    model channel the excess over the run is the Gaussian to rounding, and
+    so is the start.
 
     Then bounded Newton ascent on F(delta, d, b), with the gradient and
     Hessian of ``_gps_newton_terms``, in the box delta in [delta_0 - 1,
@@ -724,11 +751,10 @@ def gps_fit(observed: np.ndarray) -> tuple[float, float, float]:
     """
     import numpy as np
 
-    lags = lag_distribution(observed)
+    lags, total = _lags(observed)
     m = lags.shape[0]
     if m < 8:
         raise DegenerateGeometry(f"need a grid of at least 8 cells, got {m}")
-    total = float(lags.sum())
 
     top = int(np.argmax(lags))
     anchor = top - m if top > m / 2 else top

@@ -62,15 +62,19 @@ def _real(name: str, value) -> float:
 
 
 def _require_spread(what: str, d: float) -> None:
-    """OutOfRange unless a finite spread ``d`` is positive with 2*d**2 finite.
+    """OutOfRange unless a finite spread ``d`` is positive with 2*d**2 finite and positive.
 
     2*d**2 is the Gaussian's denominator; the one spread check of the
-    position model and its objective.
+    position model and its objective.  Its underflow is tested on the
+    expression ``gaussian_profile`` divides by, which would give 0/0 at an
+    integer shift.
     """
     if not d > 0:
         raise OutOfRange(f"{what} must be positive, got {d}")
     if not math.isfinite(2.0 * d * d):
         raise OutOfRange(f"{what} {d} is too large: 2*d**2 is not finite")
+    if not 2.0 * d**2 > 0.0:
+        raise OutOfRange(f"{what} {d} is too small: 2*d**2 underflows to 0")
 
 
 def toroidal_offset(raw, size: int):
@@ -105,9 +109,9 @@ class GpsModel(Frozen):
             raise DegenerateGeometry(f"grid_size must be >= 2, got {grid_size}")
         delta_e, d, c = _real("delta_e", delta_e), _real("d", d), _real("c", c)
         require_finite("delta_e, d and c", (delta_e, d, c))
-        _require_spread("standard deviation", d)
-        if d < 2.0:
+        if 0.0 < d < 2.0:
             raise GridTooCoarse(f"standard deviation {d} is below 2 grid steps")
+        _require_spread("standard deviation", d)
         if c < 0:
             raise NegativeMass(f"long-tail floor must be >= 0, got {c}")
         floor_mass = _real("grid_size", grid_size) * c

@@ -354,7 +354,7 @@ ERROR_PATHS = {
     "raven-no-positive-examples": (
         lambda: raven_increments(ContingencyTable(0, 1, 1, 1)), EmptyRow, 2),
     "raven-no-counterexample-column": (
-        lambda: raven_increments(ContingencyTable(1, 0, 1, 0)), EmptyRow, 2),
+        lambda: raven_increments(ContingencyTable(1, 0, 1, 0)), EmptyColumn, 2),
     "alphabet-empty": (lambda: Alphabet(()), NotNormalized, 1),
     "distribution-wrong-length": (lambda: Distribution(AB, (1.0,)), AlphabetMismatch, 1),
     "bayes-row-wrong-length": (lambda: bayes_invert(PRIOR, (1.0, 0.5, 0.5)), AlphabetMismatch, 1),

@@ -1661,6 +1661,7 @@ class TestGpsValidation:
         (INF, 3.0, 0.9, NonFinite),
         (0.0, 1e200, 0.9, OutOfRange),      # d**2 overflows
         (0.0, np.float64(1.3407807929942596e154), 0.9, OutOfRange),  # 2*d**2 overflows
+        (0.0, 1e-200, 0.9, OutOfRange),    # 2*d**2 underflows to 0
         ("a", 3.0, 0.5, OutOfRange),
         (0.0, None, 0.5, OutOfRange),
         (0.0, 3.0, "x", OutOfRange),
@@ -1715,7 +1716,8 @@ class TestGpsValidation:
         np.full((8, 9), 1 / 9),
         np.full((7, 7), 1 / 7),
         np.zeros((0, 0)),
-    ], ids=["8x9", "7x7", "empty"])
+        np.full(7, 1 / 7),
+    ], ids=["8x9", "7x7", "empty", "7-lags"])
     def test_fit_needs_square_grid_of_eight(self, observed):
         with pytest.raises(DegenerateGeometry) as info:
             gps_fit(observed)
@@ -1732,13 +1734,20 @@ class TestGpsValidation:
             call(observed)
         assert info.value.exit_code == 1
 
-    @pytest.mark.parametrize("call", [lag_distribution, gps_fit],
-                             ids=["lag_distribution", "gps_fit"])
-    def test_vector_where_a_channel_belongs_is_out_of_range(self, call):
-        # gps_objective takes a vector: the lag distribution
-        with pytest.raises(OutOfRange) as info:
-            call(np.full(8, 1 / 8))
-        assert info.value.exit_code == 1
+    @pytest.mark.parametrize("observed", [
+        *(GpsModel(*spec).channel_matrix() for spec in EXACT_MODELS),
+        TestGpsFit.sampled_channel(),
+        GpsModel(200, 3, 6.0, 0.001).channel_matrix().astype(np.float32),
+    ], ids=[*map(str, EXACT_MODELS), "sampled", "float32"])
+    def test_fit_of_the_lag_vector_is_the_fit_of_the_channel(self, observed):
+        assert gps_fit(lag_distribution(observed)) == gps_fit(observed)
+
+    def test_lags_of_a_lag_vector_are_the_lag_vector(self):
+        lags = np.array(_GOOD_LAGS)
+        assert lag_distribution(lags) is lags    # a contiguous float64 vector is not copied
+        strided = np.repeat(lags, 2)[::2]
+        assert lag_distribution(strided).tobytes() == _GOOD_LAGS.tobytes()
+        assert lag_distribution(list(lags)).tobytes() == _GOOD_LAGS.tobytes()
 
     @pytest.mark.parametrize("entry", ["a", 1 + 1j], ids=["text", "complex"])
     @pytest.mark.parametrize("call, position", [
@@ -2019,6 +2028,7 @@ class TestNarrowFloatChannels:
         assert gps_objective(narrow, *fit) == pytest.approx(exact, abs=1e-6)
         narrow_lags = lag_distribution(channel).astype(np.float32)
         assert gps_objective(narrow_lags, *fit) == pytest.approx(exact, abs=1e-6)
+        assert max(abs(a - b) for a, b in zip(gps_fit(narrow_lags), fit)) <= 1e-6
         assert lag_distribution(narrow).sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("m", [200, 1024])
@@ -2034,15 +2044,33 @@ class TestNarrowFloatChannels:
         # float32 allows 4 eps = 4.8e-7 off 1, float16 4 eps = 0.0039
         channel = (_GOOD_CHANNEL * (1.0 + off)).astype(dtype)
         lags = (_GOOD_LAGS * (1.0 + off)).astype(dtype)
-        for call in (lambda: gps_fit(channel), lambda: gps_objective(lags, 0.0, 3.0, 0.9)):
+        for call in (lambda: gps_fit(channel), lambda: gps_objective(lags, 0.0, 3.0, 0.9),
+                     lambda: lag_distribution(lags), lambda: gps_fit(lags)):
             with pytest.raises(NotNormalized):
                 call()
+
+    @pytest.mark.parametrize("dtype, off, close", [(np.float32, 4e-7, 1e-7),
+                                                   (np.float16, 0.003, 1e-3)])
+    def test_lag_vectors_within_the_rounding_of_their_type_are_accepted(self, dtype, off, close):
+        # 4 eps of float32 is 4.8e-7 and of float16 0.0039: once checked, the
+        # vector is widened to float64 and divided by its sum, as a row would be
+        lags = (_GOOD_LAGS * (1.0 + off)).astype(dtype)
+        widened = lags.astype(float)
+        assert abs(widened.sum() - 1.0) > NORMALIZATION_TOLERANCE
+        normalized = lag_distribution(lags)
+        assert normalized.dtype == np.float64
+        assert normalized.tobytes() == (widened / float(widened.sum())).tobytes()
+        fit = gps_fit(lags)
+        assert fit == gps_fit(normalized)
+        assert max(abs(a - b) for a, b in zip(fit, gps_fit(_GOOD_LAGS))) <= close
+        assert gps_objective(lags, *fit) == gps_objective(normalized, *fit)
 
     def test_the_bound_does_not_grow_with_the_row(self):
         # 1024 float16 masses of 2**-11: every row, and the lags, sum to 0.5
         channel = np.full((1024, 1024), 0.5 / 1024, dtype=np.float16)
         lags = np.full(1024, 0.5 / 1024, dtype=np.float16)
-        for call in (lambda: gps_fit(channel), lambda: gps_objective(lags, 0.0, 3.0, 0.9)):
+        for call in (lambda: gps_fit(channel), lambda: gps_objective(lags, 0.0, 3.0, 0.9),
+                     lambda: gps_fit(lags)):
             with pytest.raises(NotNormalized):
                 call()
 

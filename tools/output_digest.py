@@ -10,7 +10,8 @@ group digests.  Two trees that print the same digest for a group returned
 the same values, or raised the same errors, on every call of that group.
 The groups are the closed forms, belief solves at n = 2 ... 256 on both
 branches, the semantic measures, the channel fit, ``reproduce_rows()``
-and the position model at m = 8 ... 200 (wrong-shape arrays included).
+and the position model at m = 8 ... 200 (channels, float64 and float32 lag
+vectors, wrong-shape arrays and a spread whose square underflows).
 
 Each call contributes one line: the export's name and the canonical repr
 of its result, or the class name of the ``SemcalError`` it raised; any
@@ -205,12 +206,18 @@ def position_model(rng: random.Random):
                 yield outcome(lag_distribution, channel)
                 yield outcome(gps_objective, channel, model.delta_e, d, rng.random())
                 yield outcome(gps_fit, channel)
-    for shape in ((), (8,), (8, 8, 8), (8, 9), (7, 7), (0, 0)):
+            # the lag vectors themselves, in float64 and float32
+            for lags in (lag_distribution(noisy), lag_distribution(exact).astype(np.float32)):
+                yield outcome(lag_distribution, lags)
+                yield outcome(gps_objective, lags, model.delta_e, d, 0.5)
+                yield outcome(gps_fit, lags)
+    for shape in ((), (8,), (7,), (8, 8, 8), (8, 9), (7, 7), (0, 0)):
         array = np.full(shape, 1.0 / max(shape[-1:] + (1,)))
         yield outcome(lag_distribution, array)
         yield outcome(gps_objective, array, 0.0, 2.0, 0.5)
         yield outcome(gps_fit, array)
     yield outcome(gps_fit, 5)
+    yield outcome(gps_objective, np.full(8, 1 / 8), 0.0, 1e-200, 0.5)    # 2*d**2 underflows
 
 
 GROUPS = {
